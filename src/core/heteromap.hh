@@ -125,7 +125,7 @@ Result<LoadedPredictor> loadAnyPredictor(std::istream &is);
 struct Deployment {
     MConfig config;            //!< deployed machine choices
     ExecutionReport report;    //!< modelled on-chip execution
-    double overheadMs = 0.0;   //!< measured predictor latency
+    double overheadMs = 0.0;   //!< measure + featurize + infer latency
     NormalizedMVector predicted;
 
     /** Completion time including the framework's overhead. */
@@ -168,15 +168,15 @@ class HeteroMap
     /**
      * One-call online path from a raw graph: measure it through the
      * global GraphStats cache (graph/stats_cache.hh), featurize,
-     * predict, and deploy. Every stage is timed: the returned
-     * overheadMs is exactly the sum of the measurement latency (near
-     * zero when the graph's stats are still cached), the featurize
-     * latency, and the inference latency, and each stage is recorded
-     * in the telemetry registry ("predict.stage.measure_ms" /
-     * ".featurize_ms" / ".infer_ms" histograms) and as trace spans —
-     * keeping the Table IV overhead accounting honest for the full
-     * runtime path, with a per-stage breakdown instead of a single
-     * opaque number.
+     * profile the workload through the global profile cache
+     * (workloads/profile_cache.hh), predict, and deploy. Every stage
+     * is timed and recorded in the telemetry registry
+     * ("predict.stage.measure_ms" / ".featurize_ms" / ".profile_ms" /
+     * ".infer_ms" histograms) and as trace spans. The returned
+     * overheadMs is the paper's Table IV predictor overhead: exactly
+     * the sum of the measurement (near zero when the graph's stats
+     * are cached), featurize and inference latencies. Profiling only
+     * feeds the modelled report, so its time is excluded.
      */
     Deployment predict(const Workload &workload, const Graph &graph,
                        const std::string &input_name,

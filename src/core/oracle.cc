@@ -49,10 +49,33 @@ makeCase(const Workload &workload, const Graph &graph,
     bench.output = std::move(output);
     bench.profile = std::move(profile);
 
-    bench.features.b = workload.bVariables();
-    bench.features.i = extractIVariables(scale_stats);
+    bench.features = featurize(workload, scale_stats);
     bench.shapeStats = shape_stats;
     bench.scaleStats = scale_stats;
+    return bench;
+}
+
+FeatureVector
+featurize(const Workload &workload, const GraphStats &stats)
+{
+    FeatureVector features;
+    features.b = workload.bVariables();
+    features.i = extractIVariables(stats);
+    return features;
+}
+
+BenchmarkCase
+assembleCase(const Workload &workload, const std::string &input_name,
+             const GraphStats &stats, const FeatureVector &features,
+             WorkloadProfile profile)
+{
+    BenchmarkCase bench;
+    bench.workloadName = workload.name();
+    bench.inputName = input_name;
+    bench.features = features;
+    bench.profile = std::move(profile);
+    bench.shapeStats = stats;
+    bench.scaleStats = stats;
     return bench;
 }
 

@@ -71,6 +71,24 @@ BenchmarkCase makeCase(const Workload &workload, const Graph &graph,
                        const GraphStats &shape_stats,
                        const GraphStats &scale_stats);
 
+/**
+ * The featurize stage alone: B from @p workload's static descriptor,
+ * I from @p stats. Takes microseconds; no workload execution.
+ */
+FeatureVector featurize(const Workload &workload, const GraphStats &stats);
+
+/**
+ * Assemble a case from an already-computed profile instead of running
+ * the workload: the online paths' constructor, fed by the stats and
+ * profile memos. Equal to makeCase(workload, graph, input_name,
+ * stats) in every field the oracle reads; output stays empty.
+ */
+BenchmarkCase assembleCase(const Workload &workload,
+                           const std::string &input_name,
+                           const GraphStats &stats,
+                           const FeatureVector &features,
+                           WorkloadProfile profile);
+
 /** Scores benchmark cases under the performance model. */
 class Oracle
 {

@@ -26,6 +26,23 @@ using EdgeId = uint64_t;
 inline constexpr VertexId kInvalidVertex = UINT32_MAX;
 
 /**
+ * Content identity of a graph: its counts plus a 128-bit hash of
+ * every byte of the offset, neighbor and weight arrays. Two graphs
+ * with equal CSR arrays (a copy, the same chunk re-cut from a stream)
+ * have equal fingerprints; any difference in structure or weights
+ * changes the hash.
+ */
+struct GraphFingerprint {
+    uint64_t numVertices = 0;
+    uint64_t numEdges = 0;
+    uint64_t footprintBytes = 0;
+    uint64_t contentLo = 0;
+    uint64_t contentHi = 0;
+
+    bool operator==(const GraphFingerprint &) const = default;
+};
+
+/**
  * CSR graph with optional per-edge float weights.
  *
  * Construction goes through GraphBuilder (graph/builder.hh); the
@@ -36,15 +53,23 @@ class Graph
 {
   public:
     /** Build an empty graph. */
-    Graph() = default;
+    Graph();
 
     /**
      * Adopt prebuilt CSR arrays. @p offsets must have size V+1 with
      * offsets[0] == 0 and offsets[V] == neighbors.size(); @p weights
      * is either empty (unweighted) or the same size as @p neighbors.
+     * Hashes the arrays once (see fingerprint()).
      */
     Graph(std::vector<EdgeId> offsets, std::vector<VertexId> neighbors,
           std::vector<float> weights = {});
+
+    Graph(const Graph &) = default;
+    Graph &operator=(const Graph &) = default;
+
+    /** Moves leave @p other an empty graph with a matching fingerprint. */
+    Graph(Graph &&other) noexcept;
+    Graph &operator=(Graph &&other) noexcept;
 
     /** @return number of vertices. */
     VertexId
@@ -116,10 +141,21 @@ class Graph
     /** Raw neighbor array (size E). */
     const std::vector<VertexId> &rawNeighbors() const { return neighbors_; }
 
+    /**
+     * Content fingerprint, computed once at construction: the arrays
+     * never change afterwards, so reading it is O(1) however large
+     * the graph.
+     */
+    const GraphFingerprint &fingerprint() const { return fingerprint_; }
+
   private:
     std::vector<EdgeId> offsets_;
     std::vector<VertexId> neighbors_;
     std::vector<float> weights_;
+    GraphFingerprint fingerprint_;
+
+    /** Drop the arrays (after a move) and re-fingerprint as empty. */
+    void resetToEmpty() noexcept;
 };
 
 } // namespace heteromap

@@ -5,84 +5,37 @@
 
 #include "graph/stats_cache.hh"
 
-#include "util/logging.hh"
-
 namespace heteromap {
 
-namespace {
-
-/** splitmix64 finalizer: the per-element mixing step. */
 uint64_t
-mix64(uint64_t x)
+mixKey(uint64_t hash, uint64_t field)
 {
+    uint64_t x = hash ^ field;
     x += 0x9e3779b97f4a7c15ull;
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
     return x ^ (x >> 31);
 }
 
-/**
- * Order-sensitive strided hash over @p data: every stride-th element
- * plus the last one, where the stride caps the work at
- * kFingerprintSamples elements. @p seed decorrelates the two arrays'
- * hashes so their 128 combined bits are independent.
- */
-template <typename T>
-uint64_t
-hashSampled(const T *data, std::size_t count, uint64_t seed)
-{
-    uint64_t h = mix64(seed ^ count);
-    if (count == 0)
-        return h;
-    const std::size_t stride =
-        count <= kFingerprintSamples ? 1 : count / kFingerprintSamples;
-    for (std::size_t i = 0; i < count; i += stride)
-        h = mix64(h ^ static_cast<uint64_t>(data[i]));
-    return mix64(h ^ static_cast<uint64_t>(data[count - 1]));
-}
-
-} // namespace
-
-GraphFingerprint
-fingerprintGraph(const Graph &graph)
-{
-    GraphFingerprint fp;
-    fp.numVertices = graph.numVertices();
-    fp.numEdges = graph.numEdges();
-    fp.footprintBytes = graph.footprintBytes();
-    const auto &offsets = graph.offsets();
-    const auto &neighbors = graph.rawNeighbors();
-    fp.offsetsHash =
-        hashSampled(offsets.data(), offsets.size(), 0x0ff5e75ull);
-    fp.neighborsHash =
-        hashSampled(neighbors.data(), neighbors.size(), 0xad7ace2ull);
-    return fp;
-}
-
 uint64_t
 mixFingerprint(const GraphFingerprint &fingerprint)
 {
-    uint64_t h = mix64(fingerprint.numVertices);
-    h = mix64(h ^ fingerprint.numEdges);
-    h = mix64(h ^ fingerprint.footprintBytes);
-    h = mix64(h ^ fingerprint.offsetsHash);
-    return mix64(h ^ fingerprint.neighborsHash);
+    uint64_t h = mixKey(0, fingerprint.numVertices);
+    h = mixKey(h, fingerprint.numEdges);
+    h = mixKey(h, fingerprint.footprintBytes);
+    h = mixKey(h, fingerprint.contentLo);
+    return mixKey(h, fingerprint.contentHi);
 }
 
 std::size_t
-GraphStatsCache::KeyHash::operator()(const Key &key) const
+StatsKeyHash::operator()(const StatsKey &key) const
 {
-    uint64_t h = mix64(key.fingerprint.numVertices);
-    h = mix64(h ^ key.fingerprint.numEdges);
-    h = mix64(h ^ key.fingerprint.footprintBytes);
-    h = mix64(h ^ key.fingerprint.offsetsHash);
-    h = mix64(h ^ key.fingerprint.neighborsHash);
-    h = mix64(h ^ key.sweeps);
-    h = mix64(h ^ key.seed);
-    return static_cast<std::size_t>(h);
+    uint64_t h = mixFingerprint(key.fingerprint);
+    h = mixKey(h, key.sweeps);
+    return static_cast<std::size_t>(mixKey(h, key.seed));
 }
 
-GraphStatsCache::Key
+StatsKey
 GraphStatsCache::makeKey(const Graph &graph,
                          const MeasureOptions &options)
 {
@@ -92,105 +45,19 @@ GraphStatsCache::makeKey(const Graph &graph,
     return {fingerprintGraph(graph), options.sweeps, options.seed};
 }
 
-GraphStatsCache::GraphStatsCache(std::size_t capacity,
-                                 const char *metrics_prefix)
-    : capacity_(capacity),
-      hits_(metrics_prefix != nullptr
-                ? &telemetry::registry().counter(
-                      std::string(metrics_prefix) + ".hits")
-                : &ownedHits_),
-      misses_(metrics_prefix != nullptr
-                  ? &telemetry::registry().counter(
-                        std::string(metrics_prefix) + ".misses")
-                  : &ownedMisses_),
-      evictions_(metrics_prefix != nullptr
-                     ? &telemetry::registry().counter(
-                           std::string(metrics_prefix) + ".evictions")
-                     : &ownedEvictions_)
-{
-    HM_ASSERT(capacity > 0, "stats cache needs a positive capacity");
-}
-
 GraphStats
 GraphStatsCache::measure(const Graph &graph,
                          const MeasureOptions &options)
 {
-    const Key key = makeKey(graph, options);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto found = index_.find(key);
-        if (found != index_.end()) {
-            hits_->add(1);
-            lru_.splice(lru_.begin(), lru_, found->second);
-            return found->second->second;
-        }
-        misses_->add(1);
-    }
-
-    // Measure outside the lock: the graph sweep is the expensive
-    // part, and racing misses converge on identical stats anyway.
-    const GraphStats stats = measureGraph(graph, options);
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto found = index_.find(key);
-    if (found != index_.end()) {
-        // A racing miss inserted first; keep its entry.
-        lru_.splice(lru_.begin(), lru_, found->second);
-        return found->second->second;
-    }
-    lru_.emplace_front(key, stats);
-    index_.emplace(key, lru_.begin());
-    while (lru_.size() > capacity_) {
-        index_.erase(lru_.back().first);
-        lru_.pop_back();
-        evictions_->add(1);
-    }
-    return stats;
+    return getOrCompute(makeKey(graph, options),
+                        [&] { return measureGraph(graph, options); });
 }
 
 std::optional<GraphStats>
 GraphStatsCache::peek(const Graph &graph,
                       const MeasureOptions &options) const
 {
-    const Key key = makeKey(graph, options);
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto found = index_.find(key);
-    if (found == index_.end())
-        return std::nullopt;
-    return found->second->second;
-}
-
-void
-GraphStatsCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    index_.clear();
-    lru_.clear();
-}
-
-uint64_t
-GraphStatsCache::hits() const
-{
-    return hits_->value();
-}
-
-uint64_t
-GraphStatsCache::misses() const
-{
-    return misses_->value();
-}
-
-uint64_t
-GraphStatsCache::evictions() const
-{
-    return evictions_->value();
-}
-
-std::size_t
-GraphStatsCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return lru_.size();
+    return peekKey(makeKey(graph, options));
 }
 
 GraphStatsCache &

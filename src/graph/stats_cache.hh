@@ -1,25 +1,34 @@
 /**
  * @file
- * Memoized GraphStats: a thread-safe, bounded LRU cache keyed by a
- * cheap structural fingerprint of the CSR arrays, so repeat
- * deployments of a known graph skip measurement (the dominant online
- * cost for large inputs) entirely.
+ * Fingerprint-keyed memoization for the online path: one bounded,
+ * thread-safe LRU template (FingerprintCache) that serves both the
+ * GraphStats memo below and the workload-profile memo
+ * (workloads/profile_cache.hh), so repeat deployments of a known
+ * graph skip measurement and workload execution entirely.
  *
- * The fingerprint is content-based, not identity-based: two Graph
- * objects holding the same CSR arrays — a copy, or the same chunk
- * re-cut from a stream — hit the same entry. It hashes the vertex
- * and edge counts, the byte footprint, and strided samples of the
- * offset and neighbor arrays (capped at kFingerprintSamples elements
- * per array, so fingerprinting stays O(1)-ish however large the
- * graph). Graphs small enough to fall under the cap are covered
- * exactly; above it the fingerprint is probabilistic — two graphs
- * that agree on counts and on every sampled element collide, which
- * for a performance predictor means serving the structurally-twin
- * graph's stats, not a correctness failure.
+ * Every key starts with the graph's content fingerprint
+ * (GraphFingerprint, graph/graph.hh), which Graph computes once at
+ * construction from every byte of its offset, neighbor and weight
+ * arrays; fingerprintGraph() is therefore an O(1) read, and nothing
+ * on the request path ever re-hashes a graph. The key is
+ * content-based, not identity-based: two Graph objects holding the
+ * same CSR arrays — a copy, or the same chunk re-cut from a stream —
+ * hit the same entry.
  *
- * Measurement parameters (sweeps, seed) are part of the cache key:
- * the same graph measured at different diameter-probe budgets yields
- * different stats and must not share an entry.
+ * The fingerprint must be exact, not sampled, because a key selects
+ * more than approximate shape statistics: the profile memo returns
+ * the executed workload's counters, which drive the modelled
+ * ExecutionReport. Two graphs that differ anywhere — one arc, or only
+ * their SSSP edge weights — must never share an entry, or a request
+ * would be answered with another graph's modelled time. The 128-bit
+ * content hash makes an accidental collision negligible; it is not
+ * designed to resist deliberately crafted collisions.
+ *
+ * The rest of a key is whatever else the cached value depends on:
+ * measurement parameters (sweeps, seed) for stats, since the same
+ * graph measured at different diameter-probe budgets yields
+ * different stats; the workload's full identity (name plus
+ * constructor parameters) for profiles.
  */
 
 #ifndef HETEROMAP_GRAPH_STATS_CACHE_HH
@@ -29,44 +38,42 @@
 #include <list>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
 #include "graph/props.hh"
+#include "util/logging.hh"
 #include "util/telemetry.hh"
 
 namespace heteromap {
 
-/** Content fingerprint of a graph's CSR structure. */
-struct GraphFingerprint {
-    uint64_t numVertices = 0;
-    uint64_t numEdges = 0;
-    uint64_t footprintBytes = 0;
-    uint64_t offsetsHash = 0;
-    uint64_t neighborsHash = 0;
-
-    bool operator==(const GraphFingerprint &) const = default;
-};
-
-/** Elements sampled per CSR array when fingerprinting. */
-inline constexpr std::size_t kFingerprintSamples = 4096;
-
-/** Fingerprint @p graph (see the file comment for the scheme). */
-GraphFingerprint fingerprintGraph(const Graph &graph);
+/** @p graph's content fingerprint: an O(1) read (see the file comment). */
+inline const GraphFingerprint &
+fingerprintGraph(const Graph &graph)
+{
+    return graph.fingerprint();
+}
 
 /**
- * Mix a fingerprint's five fields into one 64-bit hash — the compact
- * graph identity stamped into flight-recorder audit records (the
- * serving batcher's key hash folds sweeps/seed on top, so it is not
- * reusable as a pure graph id).
+ * Mix a fingerprint's fields into one 64-bit hash — the compact
+ * graph identity stamped into flight-recorder audit records and used
+ * for shard routing.
  */
 uint64_t mixFingerprint(const GraphFingerprint &fingerprint);
 
-/** Bounded, thread-safe LRU memo cache for measureGraph results. */
-class GraphStatsCache
+/** splitmix64 step, for folding key fields onto mixFingerprint(). */
+uint64_t mixKey(uint64_t hash, uint64_t field);
+
+/**
+ * Bounded, thread-safe LRU memo from @p Key (a graph fingerprint plus
+ * the value's other inputs) to @p Value. @p KeyHash hashes a Key.
+ */
+template <typename Key, typename Value, typename KeyHash>
+class FingerprintCache
 {
   public:
-    /** Default entry bound for the global cache. */
+    /** Default entry bound for the global caches. */
     static constexpr std::size_t kDefaultCapacity = 64;
 
     /**
@@ -79,16 +86,141 @@ class GraphStatsCache
      *        default, used by private test caches) the counters are
      *        cache-owned and unregistered.
      */
-    explicit GraphStatsCache(std::size_t capacity = kDefaultCapacity,
-                             const char *metrics_prefix = nullptr);
+    explicit FingerprintCache(std::size_t capacity = kDefaultCapacity,
+                              const char *metrics_prefix = nullptr)
+        : capacity_(capacity),
+          hits_(counterFor(metrics_prefix, ".hits", ownedHits_)),
+          misses_(counterFor(metrics_prefix, ".misses", ownedMisses_)),
+          evictions_(counterFor(metrics_prefix, ".evictions",
+                                ownedEvictions_))
+    {
+        HM_ASSERT(capacity > 0, "memo cache needs a positive capacity");
+    }
 
     /**
-     * Memoized measureGraph: fingerprint @p graph, return the cached
-     * stats on a hit, otherwise measure under @p options and cache
-     * the result. Safe to call concurrently; a miss measures outside
-     * the lock (two racing misses on one graph both measure — the
-     * results are identical by the determinism contract, and one
-     * insert wins).
+     * Return the value cached under @p key, or run @p compute() and
+     * cache its result. Safe to call concurrently; a miss computes
+     * outside the lock (two racing misses on one key both compute —
+     * the results are identical by the determinism contract, and the
+     * first insert wins, so every caller sees the same value).
+     */
+    template <typename Compute>
+    Value
+    getOrCompute(const Key &key, Compute &&compute)
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            auto found = index_.find(key);
+            if (found != index_.end()) {
+                hits_->add(1);
+                lru_.splice(lru_.begin(), lru_, found->second);
+                return found->second->second;
+            }
+            misses_->add(1);
+        }
+
+        Value value = compute();
+
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto found = index_.find(key);
+        if (found != index_.end()) {
+            // A racing miss inserted first; keep its entry.
+            lru_.splice(lru_.begin(), lru_, found->second);
+            return found->second->second;
+        }
+        lru_.emplace_front(key, value);
+        index_.emplace(key, lru_.begin());
+        while (lru_.size() > capacity_) {
+            index_.erase(lru_.back().first);
+            lru_.pop_back();
+            evictions_->add(1);
+        }
+        return value;
+    }
+
+    /** Probe without computing (does not touch LRU order). */
+    std::optional<Value>
+    peekKey(const Key &key) const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto found = index_.find(key);
+        if (found == index_.end())
+            return std::nullopt;
+        return found->second->second;
+    }
+
+    /** Drop every entry (counters survive). */
+    void
+    clear()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        index_.clear();
+        lru_.clear();
+    }
+
+    std::size_t capacity() const { return capacity_; }
+
+    /** @name Counters (monotonic over the cache lifetime). @{ */
+    uint64_t hits() const { return hits_->value(); }
+    uint64_t misses() const { return misses_->value(); }
+    uint64_t evictions() const { return evictions_->value(); }
+
+    std::size_t
+    size() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return lru_.size();
+    }
+    /** @} */
+
+  private:
+    using LruList = std::list<std::pair<Key, Value>>;
+
+    const std::size_t capacity_;
+    mutable std::mutex mutex_;
+    LruList lru_; //!< front = most recent
+    std::unordered_map<Key, typename LruList::iterator, KeyHash> index_;
+
+    /** Backing store when no metrics prefix registers the counters. */
+    telemetry::Counter ownedHits_, ownedMisses_, ownedEvictions_;
+    telemetry::Counter *hits_;
+    telemetry::Counter *misses_;
+    telemetry::Counter *evictions_;
+
+    static telemetry::Counter *
+    counterFor(const char *prefix, const char *suffix,
+               telemetry::Counter &owned)
+    {
+        return prefix != nullptr
+                   ? &telemetry::registry().counter(std::string(prefix) +
+                                                    suffix)
+                   : &owned;
+    }
+};
+
+/** GraphStatsCache key: structure plus measurement parameters. */
+struct StatsKey {
+    GraphFingerprint fingerprint;
+    unsigned sweeps = 0;
+    uint64_t seed = 0;
+
+    bool operator==(const StatsKey &) const = default;
+};
+
+struct StatsKeyHash {
+    std::size_t operator()(const StatsKey &key) const;
+};
+
+/** Memoized measureGraph results. */
+class GraphStatsCache
+    : public FingerprintCache<StatsKey, GraphStats, StatsKeyHash>
+{
+  public:
+    using FingerprintCache::FingerprintCache;
+
+    /**
+     * Memoized measureGraph: return the cached stats of @p graph
+     * under @p options on a hit, otherwise measure and cache them.
      */
     GraphStats measure(const Graph &graph,
                        const MeasureOptions &options = {});
@@ -97,46 +229,9 @@ class GraphStatsCache
     std::optional<GraphStats> peek(const Graph &graph,
                                    const MeasureOptions &options = {}) const;
 
-    /** Drop every entry (counters survive). */
-    void clear();
-
-    std::size_t capacity() const { return capacity_; }
-
-    /** @name Counters (monotonic over the cache lifetime). @{ */
-    uint64_t hits() const;
-    uint64_t misses() const;
-    uint64_t evictions() const;
-    std::size_t size() const;
-    /** @} */
-
   private:
-    /** Full key: structure plus measurement parameters. */
-    struct Key {
-        GraphFingerprint fingerprint;
-        unsigned sweeps = 0;
-        uint64_t seed = 0;
-
-        bool operator==(const Key &) const = default;
-    };
-
-    struct KeyHash {
-        std::size_t operator()(const Key &key) const;
-    };
-
-    using LruList = std::list<std::pair<Key, GraphStats>>;
-
-    const std::size_t capacity_;
-    mutable std::mutex mutex_;
-    LruList lru_;  //!< front = most recent
-    std::unordered_map<Key, LruList::iterator, KeyHash> index_;
-
-    /** Backing store when no metrics prefix registers the counters. */
-    telemetry::Counter ownedHits_, ownedMisses_, ownedEvictions_;
-    telemetry::Counter *hits_;
-    telemetry::Counter *misses_;
-    telemetry::Counter *evictions_;
-
-    static Key makeKey(const Graph &graph, const MeasureOptions &options);
+    static StatsKey makeKey(const Graph &graph,
+                            const MeasureOptions &options);
 };
 
 /**

@@ -74,6 +74,19 @@ normalized(ServiceOptions options)
 
 } // namespace
 
+std::string
+profileMetricsPrefix(const std::string &stats_prefix)
+{
+    static constexpr std::string_view kStats = "stats_cache";
+    if (stats_prefix.empty())
+        return {};
+    if (stats_prefix.ends_with(kStats))
+        return stats_prefix.substr(0, stats_prefix.size() -
+                                          kStats.size()) +
+               "profile_cache";
+    return stats_prefix + ".profile_cache";
+}
+
 const char *
 degradationLevelName(DegradationLevel level)
 {
@@ -98,19 +111,22 @@ PredictionService::PredictionService(ModelRegistry &models,
     HM_ASSERT(models_.current() != nullptr,
               "PredictionService needs a registry with at least one "
               "published model");
-    stats_shards_.reserve(options_.statsShards);
+    // Every shard registers the service's prefixes, so the
+    // "<prefix>.*" counters aggregate across shards (and the
+    // per-shard accessors read the same atomics). Co-resident
+    // services that keep the default prefix alias each other —
+    // multi-service hosts pass distinct prefixes (see
+    // ServiceOptions::statsMetricsPrefix).
+    const std::string profile_prefix =
+        profileMetricsPrefix(options_.statsMetricsPrefix);
+    shards_.reserve(options_.statsShards);
     for (std::size_t s = 0; s < options_.statsShards; ++s) {
-        // Every shard registers the service's prefix, so the
-        // "<prefix>.*" counters aggregate across shards (and the
-        // per-shard accessors read the same atomics). Co-resident
-        // services that keep the default prefix alias each other —
-        // multi-service hosts pass distinct prefixes (see
-        // ServiceOptions::statsMetricsPrefix).
-        stats_shards_.push_back(std::make_unique<GraphStatsCache>(
+        shards_.push_back(std::make_unique<CacheShard>(
             options_.statsCapacityPerShard,
             options_.statsMetricsPrefix.empty()
                 ? nullptr
-                : options_.statsMetricsPrefix.c_str()));
+                : options_.statsMetricsPrefix.c_str(),
+            profile_prefix.empty() ? nullptr : profile_prefix.c_str()));
     }
 
     // The last-resort model: the paper's hand-built heuristic tree
@@ -146,10 +162,10 @@ PredictionService::~PredictionService()
     }
 }
 
-GraphStatsCache &
+PredictionService::CacheShard &
 PredictionService::shardFor(const BatchKey &key)
 {
-    return *stats_shards_[hashBatchKey(key) % stats_shards_.size()];
+    return *shards_[StatsKeyHash{}(key) % shards_.size()];
 }
 
 DegradationLevel
@@ -435,22 +451,28 @@ PredictionService::serveBatch(std::vector<PendingRequest> &batch)
     timer.start();
 
     // One GraphStats measurement amortizes across the batch (every
-    // member shares the fingerprint by construction).
+    // member shares the fingerprint by construction), and the batch's
+    // cache shard holds both its stats and its profiles.
     const PendingRequest &head = batch[live.front()];
+    CacheShard &shard = shardFor(head.key);
     const GraphStats stats = [&] {
         HM_SPAN("serve.measure");
-        return shardFor(head.key).measure(*head.request.graph,
-                                          head.request.measure);
+        return shard.stats.measure(*head.request.graph,
+                                   head.request.measure);
     }();
     const double measure_ms = timer.lapMillis();
     HM_HISTOGRAM_RECORD_MS("serve.batch.measure_ms", measure_ms);
 
-    // Pass 1 — group members by (workload, input): one featurize per
-    // group, and note which groups have at least one member that
-    // needs an (unsupervised) inference.
+    // Pass 1 — group members by (workload identity, input): one
+    // featurize and one profile lookup per group, and note which
+    // groups have at least one member that needs an (unsupervised)
+    // inference. Grouping by identity rather than name keeps two
+    // parameterizations of one benchmark (PageRank() and
+    // PageRank(0.5, 2)) from sharing a case.
     struct Group {
         BenchmarkCase bench;
         double featurizeMs = 0.0;         //!< this group's featurize
+        double profileMs = 0.0;           //!< this group's profile
         std::vector<std::size_t> members; //!< indices into `live`
         std::ptrdiff_t inferSlot = -1;    //!< slot in the batched pass
     };
@@ -461,18 +483,25 @@ PredictionService::serveBatch(std::vector<PendingRequest> &batch)
         if (grouped[i])
             continue;
         const ServeRequest &lead = batch[live[i]].request;
-        const std::string workload_name = lead.workload->name();
+        const std::string identity = lead.workload->identity();
 
-        timer.lapMillis(); // realign: charge only the featurize below
-        Group group;
-        group.bench = [&] {
+        timer.lapMillis(); // realign: charge only the stages below
+        const FeatureVector features = [&] {
             HM_SPAN("serve.featurize");
-            return makeCase(*lead.workload, *lead.graph,
-                            lead.inputName, stats);
+            return featurize(*lead.workload, stats);
         }();
+        Group group;
         group.featurizeMs = timer.lapMillis();
         HM_HISTOGRAM_RECORD_MS("serve.batch.featurize_ms",
                                group.featurizeMs);
+        WorkloadProfile profile = [&] {
+            HM_SPAN("serve.profile");
+            return shard.profiles.profile(*lead.workload, *lead.graph);
+        }();
+        group.profileMs = timer.lapMillis();
+        HM_HISTOGRAM_RECORD_MS("serve.batch.profile_ms", group.profileMs);
+        group.bench = assembleCase(*lead.workload, lead.inputName, stats,
+                                   features, std::move(profile));
 
         bool needs_infer = false;
         for (std::size_t j = i; j < live.size(); ++j) {
@@ -480,7 +509,8 @@ PredictionService::serveBatch(std::vector<PendingRequest> &batch)
                 continue;
             const ServeRequest &member = batch[live[j]].request;
             if (member.inputName != lead.inputName ||
-                member.workload->name() != workload_name) {
+                (member.workload != lead.workload &&
+                 member.workload->identity() != identity)) {
                 continue;
             }
             grouped[j] = true;
@@ -592,6 +622,7 @@ PredictionService::serveBatch(std::vector<PendingRequest> &batch)
                 audit.queueMs = response.queueMs;
                 audit.measureMs = measure_ms;
                 audit.featurizeMs = group.featurizeMs;
+                audit.profileMs = group.profileMs;
                 audit.inferMs = response.deployment.overheadMs;
                 audit.serviceMs = response.serviceMs;
                 audit.status =
@@ -785,28 +816,45 @@ PredictionService::close()
 }
 
 uint64_t
-PredictionService::statsHits() const
+PredictionService::sumShards(
+    uint64_t (*read)(const CacheShard &)) const
 {
     // With a metrics prefix, the shards share the prefixed registry
     // counters, so any one shard reads the aggregate; detached
     // (empty-prefix) caches each own their counters and must sum.
     if (!options_.statsMetricsPrefix.empty())
-        return stats_shards_.front()->hits();
+        return read(*shards_.front());
     uint64_t total = 0;
-    for (const auto &shard : stats_shards_)
-        total += shard->hits();
+    for (const auto &shard : shards_)
+        total += read(*shard);
     return total;
+}
+
+uint64_t
+PredictionService::statsHits() const
+{
+    return sumShards([](const CacheShard &s) { return s.stats.hits(); });
 }
 
 uint64_t
 PredictionService::statsMisses() const
 {
-    if (!options_.statsMetricsPrefix.empty())
-        return stats_shards_.front()->misses();
-    uint64_t total = 0;
-    for (const auto &shard : stats_shards_)
-        total += shard->misses();
-    return total;
+    return sumShards(
+        [](const CacheShard &s) { return s.stats.misses(); });
+}
+
+uint64_t
+PredictionService::profileHits() const
+{
+    return sumShards(
+        [](const CacheShard &s) { return s.profiles.hits(); });
+}
+
+uint64_t
+PredictionService::profileMisses() const
+{
+    return sumShards(
+        [](const CacheShard &s) { return s.profiles.misses(); });
 }
 
 void
@@ -848,6 +896,8 @@ PredictionService::statusz() const
     status.fallbackServed = fallbackServed();
     status.statsHits = statsHits();
     status.statsMisses = statsMisses();
+    status.profileHits = profileHits();
+    status.profileMisses = profileMisses();
     status.statsPrefix = options_.statsMetricsPrefix;
     status.flightArmed = forensics::flightRecorderArmed();
     status.flightAppended = forensics::auditRecordsAppended();
@@ -895,6 +945,8 @@ statuszText(const ServiceStatus &status)
        << " fallback_served=" << status.fallbackServed << "\n";
     os << "stats_cache: hits=" << status.statsHits
        << " misses=" << status.statsMisses << "\n";
+    os << "profile_cache: hits=" << status.profileHits
+       << " misses=" << status.profileMisses << "\n";
     os << "flight: armed=" << (status.flightArmed ? "yes" : "no")
        << " appended=" << status.flightAppended
        << " dropped=" << status.flightDropped
@@ -955,6 +1007,8 @@ statuszJson(const ServiceStatus &status)
        << ",\"fallback_served\":" << status.fallbackServed << "}";
     os << ",\"stats_cache\":{\"hits\":" << status.statsHits
        << ",\"misses\":" << status.statsMisses << "}";
+    os << ",\"profile_cache\":{\"hits\":" << status.profileHits
+       << ",\"misses\":" << status.profileMisses << "}";
     os << ",\"flight\":{\"armed\":"
        << (status.flightArmed ? "true" : "false")
        << ",\"appended\":" << status.flightAppended
@@ -1008,12 +1062,19 @@ aggregateStatusz(const std::vector<ServiceStatus> &shards)
     fleet.workerRestarts = fleet.fallbackServed = 0;
     fleet.postmortems = 0;
     fleet.statsHits = fleet.statsMisses = 0;
+    fleet.profileHits = fleet.profileMisses = 0;
     fleet.statsPrefix = "fleet";
 
-    // Stats-cache counters: one term per distinct shared prefix
-    // (those shards read the same registry atomics — their reported
-    // values are copies of one number), plus every detached shard.
-    std::map<std::string, std::pair<uint64_t, uint64_t>> by_prefix;
+    // Cache counters: one term per distinct shared prefix (those
+    // shards read the same registry atomics — their reported values
+    // are copies of one number), plus every detached shard. The
+    // profile-cache prefix derives from the stats prefix, so one
+    // grouping serves both.
+    struct CacheCounts {
+        uint64_t statsHits = 0, statsMisses = 0;
+        uint64_t profileHits = 0, profileMisses = 0;
+    };
+    std::map<std::string, CacheCounts> by_prefix;
     for (const ServiceStatus &shard : shards) {
         fleet.queueDepth += shard.queueDepth;
         fleet.queueCapacity += shard.queueCapacity;
@@ -1032,13 +1093,20 @@ aggregateStatusz(const std::vector<ServiceStatus> &shards)
         if (shard.statsPrefix.empty()) {
             fleet.statsHits += shard.statsHits;
             fleet.statsMisses += shard.statsMisses;
+            fleet.profileHits += shard.profileHits;
+            fleet.profileMisses += shard.profileMisses;
         } else {
             // Snapshot skew across shards of one prefix group is
             // possible (statuses are taken one by one); take the
             // max — the freshest read of the shared counter.
-            auto &entry = by_prefix[shard.statsPrefix];
-            entry.first = std::max(entry.first, shard.statsHits);
-            entry.second = std::max(entry.second, shard.statsMisses);
+            CacheCounts &entry = by_prefix[shard.statsPrefix];
+            entry.statsHits = std::max(entry.statsHits, shard.statsHits);
+            entry.statsMisses =
+                std::max(entry.statsMisses, shard.statsMisses);
+            entry.profileHits =
+                std::max(entry.profileHits, shard.profileHits);
+            entry.profileMisses =
+                std::max(entry.profileMisses, shard.profileMisses);
         }
 
         fleet.modelEpoch = std::max(fleet.modelEpoch, shard.modelEpoch);
@@ -1049,8 +1117,10 @@ aggregateStatusz(const std::vector<ServiceStatus> &shards)
             fleet.drift = shard.drift;
     }
     for (const auto &[prefix, counts] : by_prefix) {
-        fleet.statsHits += counts.first;
-        fleet.statsMisses += counts.second;
+        fleet.statsHits += counts.statsHits;
+        fleet.statsMisses += counts.statsMisses;
+        fleet.profileHits += counts.profileHits;
+        fleet.profileMisses += counts.profileMisses;
     }
 
     // SLO roll-up: worst shard per objective (matched by name), and

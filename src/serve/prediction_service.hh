@@ -7,12 +7,13 @@
  * admission control (serve/request_queue.hh). Workers micro-batch:
  * after popping a request they linger up to maxBatchDelayMs
  * collecting queued requests that share its graph fingerprint, so one
- * GraphStats measurement — and, per distinct (workload, input) in the
- * batch, one featurize and one inference — amortize across the whole
- * batch. Responses are stamped with the epoch of the ModelRegistry
- * snapshot that served them, so hot-swaps (background retrain, disk
- * load) are observable per response and can never tear a model out
- * from under an in-flight batch.
+ * GraphStats measurement — and, per distinct (workload identity,
+ * input) in the batch, one featurize, one profile lookup and one
+ * inference — amortize across the whole batch. Responses are stamped
+ * with the epoch of the ModelRegistry snapshot that served them, so
+ * hot-swaps (background retrain, disk load) are observable per
+ * response and can never tear a model out from under an in-flight
+ * batch.
  *
  * Supervised lane: requests with supervised = true deploy through a
  * persistent core/supervisor Supervisor, whose mispredict detection
@@ -20,11 +21,14 @@
  * lane's Supervisor is rebuilt against the new model when a hot-swap
  * lands.
  *
- * Graph measurements go through per-service GraphStatsCache shards,
- * each constructed with the same metrics prefix so the shared
- * "serve.stats_cache.*" registry counters aggregate across shards —
- * private caches without a prefix would silently drop that
- * accounting (see graph/stats_cache.hh).
+ * Graph measurements and workload profiles go through per-service
+ * memo shards (a GraphStatsCache and a ProfileCache each), every
+ * shard constructed with the same metrics prefixes so the shared
+ * "serve.stats_cache.*" / "serve.profile_cache.*" registry counters
+ * aggregate across shards — private caches without a prefix would
+ * silently drop that accounting (see graph/stats_cache.hh). A repeat
+ * (workload, graph) pair therefore neither re-measures the graph nor
+ * re-runs the workload.
  *
  * Fault tolerance: workers are supervised by a watchdog thread. An
  * exception during measure/featurize/infer fails only that batch's
@@ -49,6 +53,7 @@
  * .worker.stalls / .worker.restarts; gauges serve.queue_depth,
  * serve.degradation_level; histograms serve.queue_wait_ms,
  * serve.batch.measure_ms, serve.batch.featurize_ms,
+ * serve.batch.profile_ms, serve.batch.infer_ms,
  * serve.request.service_ms.
  */
 
@@ -61,6 +66,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -71,6 +77,7 @@
 #include "serve/request_queue.hh"
 #include "serve/slo_tracker.hh"
 #include "util/thread_pool.hh"
+#include "workloads/profile_cache.hh"
 
 namespace heteromap {
 namespace serve {
@@ -127,10 +134,13 @@ struct ServiceOptions {
      */
     double maxBatchDelayMs = 0.2;
 
-    /** GraphStatsCache shards (>= 1); keyed by graph fingerprint. */
+    /**
+     * Memo shards (>= 1), keyed by graph fingerprint; each holds a
+     * GraphStatsCache and a ProfileCache.
+     */
     std::size_t statsShards = 2;
 
-    /** Entry bound per stats shard. */
+    /** Entry bound per shard, for each of its two caches. */
     std::size_t statsCapacityPerShard = GraphStatsCache::kDefaultCapacity;
 
     /**
@@ -143,7 +153,8 @@ struct ServiceOptions {
      * service a distinct prefix ("serve.shard3.stats_cache") so
      * per-shard hit rates are real; aggregateStatusz() uses the
      * prefix to know which numbers are safe to sum. Empty = private
-     * detached counters (no registry mirror).
+     * detached counters (no registry mirror). The profile caches
+     * register under profileMetricsPrefix() of this prefix.
      */
     std::string statsMetricsPrefix = "serve.stats_cache";
 
@@ -210,12 +221,15 @@ struct ServiceStatus {
 
     uint64_t statsHits = 0;
     uint64_t statsMisses = 0;
+    uint64_t profileHits = 0;
+    uint64_t profileMisses = 0;
 
     /**
      * The service's statsMetricsPrefix. Shard statuses that share a
-     * non-empty prefix are reading the *same* registry counters, so
-     * a fleet roll-up must count that group once, not per shard
-     * (see aggregateStatusz).
+     * non-empty prefix are reading the *same* registry counters (for
+     * both caches, since the profile prefix derives from it), so a
+     * fleet roll-up must count that group once, not per shard (see
+     * aggregateStatusz).
      */
     std::string statsPrefix;
 
@@ -227,6 +241,15 @@ struct ServiceStatus {
     DriftScores drift;
     SloStatus slo;
 };
+
+/**
+ * The profile-cache metrics prefix paired with a stats-cache prefix:
+ * a trailing "stats_cache" becomes "profile_cache"
+ * ("serve.shard3.stats_cache" -> "serve.shard3.profile_cache"), any
+ * other non-empty prefix gains ".profile_cache", and empty (detached
+ * counters) stays empty.
+ */
+std::string profileMetricsPrefix(const std::string &stats_prefix);
 
 /** Human-readable multi-line rendering of @p status. */
 std::string statuszText(const ServiceStatus &status);
@@ -329,6 +352,10 @@ class PredictionService
     uint64_t statsHits() const;
     uint64_t statsMisses() const;
 
+    /** Aggregate profile-shard counters (serve.profile_cache.*). */
+    uint64_t profileHits() const;
+    uint64_t profileMisses() const;
+
     /** Drift scores (readable in telemetry-OFF builds too). */
     DriftScores driftScores() const { return drift_.scores(); }
 
@@ -382,7 +409,23 @@ class PredictionService
     std::mutex drain_mutex_;
     std::condition_variable drain_cv_;
 
-    std::vector<std::unique_ptr<GraphStatsCache>> stats_shards_;
+    /**
+     * One memo shard: the stats and profile caches of the graphs
+     * whose batch key hashes here, so a batch touches one shard.
+     */
+    struct CacheShard {
+        CacheShard(std::size_t capacity, const char *stats_prefix,
+                   const char *profile_prefix)
+            : stats(capacity, stats_prefix),
+              profiles(capacity, profile_prefix)
+        {
+        }
+
+        GraphStatsCache stats;
+        ProfileCache profiles;
+    };
+
+    std::vector<std::unique_ptr<CacheShard>> shards_;
 
     /** @name Forensics: drift, SLOs, postmortem accounting. @{ */
     DriftMonitor drift_;
@@ -411,7 +454,10 @@ class PredictionService
 
     ThreadPool pool_; //!< last member: destroyed (joined) first
 
-    GraphStatsCache &shardFor(const BatchKey &key);
+    CacheShard &shardFor(const BatchKey &key);
+
+    /** @p read summed over the shards, counting shared counters once. */
+    uint64_t sumShards(uint64_t (*read)(const CacheShard &)) const;
     void workerLoop(std::size_t slot);
     void gatherBatch(std::vector<PendingRequest> &batch);
     void serveBatch(std::vector<PendingRequest> &batch);

@@ -11,20 +11,6 @@
 namespace heteromap {
 namespace serve {
 
-namespace {
-
-/** splitmix64 finalizer (same mixing as the stats-cache hashes). */
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-} // namespace
-
 std::string
 ServeError::toString() const
 {
@@ -38,18 +24,6 @@ makeBatchKey(const ServeRequest &request)
               "a serve request needs a graph");
     return {fingerprintGraph(*request.graph), request.measure.sweeps,
             request.measure.seed};
-}
-
-uint64_t
-hashBatchKey(const BatchKey &key)
-{
-    uint64_t h = mix64(key.fingerprint.numVertices);
-    h = mix64(h ^ key.fingerprint.numEdges);
-    h = mix64(h ^ key.fingerprint.footprintBytes);
-    h = mix64(h ^ key.fingerprint.offsetsHash);
-    h = mix64(h ^ key.fingerprint.neighborsHash);
-    h = mix64(h ^ key.sweeps);
-    return mix64(h ^ key.seed);
 }
 
 RequestQueue::RequestQueue(std::size_t capacity) : capacity_(capacity)

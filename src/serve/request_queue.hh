@@ -15,8 +15,8 @@
  * The queue also powers micro-batching: popMatchingUntil() extracts
  * requests that share a BatchKey — the graph fingerprint and
  * measurement parameters — so one worker can coalesce them into a
- * single GraphStats measurement (and, per workload, a single
- * featurize) for the whole batch.
+ * single GraphStats measurement (and, per workload identity, a
+ * single featurize and profile lookup) for the whole batch.
  */
 
 #ifndef HETEROMAP_SERVE_REQUEST_QUEUE_HH
@@ -152,23 +152,13 @@ struct ServeResponse {
 
 /**
  * Coalescing key: requests agreeing on it can share one GraphStats
- * measurement (the dominant online cost). Structure-based, like the
- * stats cache key — two distinct Graph objects holding the same CSR
- * batch together.
+ * measurement. It is the stats-cache key itself — content-based, so
+ * two distinct Graph objects holding the same CSR batch together.
  */
-struct BatchKey {
-    GraphFingerprint fingerprint;
-    unsigned sweeps = 0;
-    uint64_t seed = 0;
+using BatchKey = StatsKey;
 
-    bool operator==(const BatchKey &) const = default;
-};
-
-/** Key @p request for coalescing (fingerprints the graph). */
+/** Key @p request for coalescing (an O(1) fingerprint read). */
 BatchKey makeBatchKey(const ServeRequest &request);
-
-/** 64-bit mix of a BatchKey, for shard selection and hashing. */
-uint64_t hashBatchKey(const BatchKey &key);
 
 /** A request admitted into the queue, with its response promise. */
 struct PendingRequest {

@@ -62,6 +62,7 @@ auditRecordToJson(const AuditRecord &record)
     oss << "],\"queue_ms\":" << formatAuditDouble(record.queueMs)
         << ",\"measure_ms\":" << formatAuditDouble(record.measureMs)
         << ",\"featurize_ms\":" << formatAuditDouble(record.featurizeMs)
+        << ",\"profile_ms\":" << formatAuditDouble(record.profileMs)
         << ",\"infer_ms\":" << formatAuditDouble(record.inferMs)
         << ",\"service_ms\":" << formatAuditDouble(record.serviceMs)
         << ",\"status\":" << record.status

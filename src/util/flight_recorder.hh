@@ -73,6 +73,7 @@ struct AuditRecord {
     double queueMs = 0.0;
     double measureMs = 0.0;
     double featurizeMs = 0.0;
+    double profileMs = 0.0;       //!< workload profile (memo hit or run)
     double inferMs = 0.0;
     double serviceMs = 0.0;
     int32_t status = 0;           //!< serve::ServeStatus value

@@ -63,10 +63,13 @@ ThreadPool::submit(Task task)
         target.queue.push_back(std::move(task));
     }
     // Publish under idle_mutex_ so a worker checking its wait
-    // predicate cannot miss the increment.
+    // predicate cannot miss the increment. The counter update stays
+    // outside the gauge macro, which a telemetry-OFF build compiles
+    // to an unevaluated expression.
     {
         std::lock_guard<std::mutex> lock(idle_mutex_);
-        HM_GAUGE_SET("pool.queue_depth", double(queued_.fetch_add(1) + 1));
+        const std::size_t depth = queued_.fetch_add(1) + 1;
+        HM_GAUGE_SET("pool.queue_depth", double(depth));
     }
     idle_cv_.notify_one();
 }
@@ -82,8 +85,8 @@ ThreadPool::tryPop(std::size_t self, Task &task)
         if (!own.queue.empty()) {
             task = std::move(own.queue.front());
             own.queue.pop_front();
-            HM_GAUGE_SET("pool.queue_depth",
-                         double(queued_.fetch_sub(1) - 1));
+            const std::size_t depth = queued_.fetch_sub(1) - 1;
+            HM_GAUGE_SET("pool.queue_depth", double(depth));
             return true;
         }
     }
@@ -93,8 +96,8 @@ ThreadPool::tryPop(std::size_t self, Task &task)
         if (!victim.queue.empty()) {
             task = std::move(victim.queue.back());
             victim.queue.pop_back();
-            HM_GAUGE_SET("pool.queue_depth",
-                         double(queued_.fetch_sub(1) - 1));
+            const std::size_t depth = queued_.fetch_sub(1) - 1;
+            HM_GAUGE_SET("pool.queue_depth", double(depth));
             HM_COUNTER_INC("pool.steals");
             return true;
         }

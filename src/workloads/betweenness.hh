@@ -28,6 +28,11 @@ class BetweennessCentrality : public Workload
     }
 
     std::string name() const override { return "BC"; }
+    std::string
+    identity() const override
+    {
+        return parameterizedIdentity(name(), samples_);
+    }
     BVariables bVariables() const override;
 
     /** vertexValues[v] = (sampled) betweenness score;

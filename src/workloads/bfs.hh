@@ -19,6 +19,11 @@ class Bfs : public Workload
     explicit Bfs(VertexId source = kDefaultSource) : source_(source) {}
 
     std::string name() const override { return "BFS"; }
+    std::string
+    identity() const override
+    {
+        return parameterizedIdentity(name(), source_);
+    }
     BVariables bVariables() const override;
 
     /** vertexValues[v] = hop distance (kUnreachable if disconnected);

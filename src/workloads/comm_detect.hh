@@ -24,6 +24,11 @@ class CommunityDetection : public Workload
     }
 
     std::string name() const override { return "COMM"; }
+    std::string
+    identity() const override
+    {
+        return parameterizedIdentity(name(), maxRounds_);
+    }
     BVariables bVariables() const override;
 
     /** vertexValues[v] = community label; scalar = distinct labels. */

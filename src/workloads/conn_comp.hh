@@ -20,6 +20,7 @@ class ConnectedComponents : public Workload
     ConnectedComponents() = default;
 
     std::string name() const override { return "CONN"; }
+    std::string identity() const override { return name(); }
     BVariables bVariables() const override;
 
     /** vertexValues[v] = component representative id;

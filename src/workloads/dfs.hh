@@ -19,6 +19,11 @@ class Dfs : public Workload
     explicit Dfs(VertexId source = kDefaultSource) : source_(source) {}
 
     std::string name() const override { return "DFS"; }
+    std::string
+    identity() const override
+    {
+        return parameterizedIdentity(name(), source_);
+    }
     BVariables bVariables() const override;
 
     /** vertexValues[v] = discovery round (kUnreachable if not

@@ -29,6 +29,12 @@ class PageRank : public Workload
     }
 
     std::string name() const override { return "PR"; }
+    std::string
+    identity() const override
+    {
+        return parameterizedIdentity(name(), damping_, maxIterations_,
+                                     tolerance_);
+    }
     BVariables bVariables() const override;
 
     /** vertexValues[v] = final rank; scalar = iterations executed. */

@@ -24,6 +24,12 @@ class PageRankDp : public Workload
     }
 
     std::string name() const override { return "PR-DP"; }
+    std::string
+    identity() const override
+    {
+        return parameterizedIdentity(name(), damping_, maxIterations_,
+                                     tolerance_);
+    }
     BVariables bVariables() const override;
 
     /** vertexValues[v] = final rank; scalar = iterations executed. */

@@ -24,6 +24,11 @@ class SsspBellmanFord : public Workload
     }
 
     std::string name() const override { return "SSSP-BF"; }
+    std::string
+    identity() const override
+    {
+        return parameterizedIdentity(name(), source_);
+    }
     BVariables bVariables() const override;
 
     /** vertexValues[v] = integral shortest distance (kUnreachable if

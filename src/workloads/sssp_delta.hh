@@ -28,6 +28,11 @@ class SsspDelta : public Workload
     }
 
     std::string name() const override { return "SSSP-Delta"; }
+    std::string
+    identity() const override
+    {
+        return parameterizedIdentity(name(), source_, delta_);
+    }
     BVariables bVariables() const override;
 
     /** vertexValues[v] = integral shortest distance (kUnreachable if

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "util/logging.hh"
@@ -41,6 +42,19 @@ SyntheticWorkload::name() const
     std::ostringstream oss;
     oss << "SYN-" << std::hex << (seed_ & 0xffff);
     return oss.str();
+}
+
+std::string
+SyntheticWorkload::identity() const
+{
+    // name() carries only 16 bits of the seed; the identity carries
+    // every input of the generated phase mix.
+    return std::apply(
+        [&](const auto &...b) {
+            return parameterizedIdentity("SYN", seed_, iterations_,
+                                         frontierRounds_, b...);
+        },
+        b_.asArray());
 }
 
 WorkloadOutput

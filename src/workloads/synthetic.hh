@@ -35,6 +35,7 @@ class SyntheticWorkload : public Workload
                       unsigned frontier_rounds = 1);
 
     std::string name() const override;
+    std::string identity() const override;
     BVariables bVariables() const override { return b_; }
 
     /** vertexValues[v] = final accumulator; scalar = checksum. */

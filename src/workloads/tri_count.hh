@@ -19,6 +19,7 @@ class TriangleCount : public Workload
     TriangleCount() = default;
 
     std::string name() const override { return "TRI"; }
+    std::string identity() const override { return name(); }
     BVariables bVariables() const override;
 
     /** vertexValues[v] = triangles incident to v; scalar = total

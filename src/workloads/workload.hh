@@ -12,7 +12,9 @@
 #define HETEROMAP_WORKLOADS_WORKLOAD_HH
 
 #include <memory>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exec/executor.hh"
@@ -40,6 +42,15 @@ class Workload
     /** Paper benchmark name, e.g. "SSSP-BF". */
     virtual std::string name() const = 0;
 
+    /**
+     * Full identity: name() plus every constructor parameter that can
+     * change the output or the profile. Two workloads with equal
+     * identities produce identical profiles on any graph, so this,
+     * not name(), is what request batching and the profile memo
+     * (workloads/profile_cache.hh) key on.
+     */
+    virtual std::string identity() const = 0;
+
     /** Static Fig. 5/6 benchmark descriptor. */
     virtual BVariables bVariables() const = 0;
 
@@ -57,6 +68,23 @@ class Workload
     std::pair<WorkloadOutput, WorkloadProfile>
     runProfiled(const Graph &graph) const;
 };
+
+/**
+ * "<name>(<p0>,<p1>,...)" for Workload::identity(). Floating-point
+ * parameters print as hexfloat, so the text is exact and distinct
+ * parameter values never share an identity.
+ */
+template <typename... Params>
+std::string
+parameterizedIdentity(std::string_view name, const Params &...params)
+{
+    std::ostringstream os;
+    os << name << '(' << std::hexfloat;
+    const char *sep = "";
+    ((os << sep << params, sep = ","), ...);
+    os << ')';
+    return os.str();
+}
 
 /** Source vertex convention shared by the traversal workloads. */
 inline constexpr VertexId kDefaultSource = 0;

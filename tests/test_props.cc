@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the parallel graph-measurement substrate: flat
  * frontiers, direction-optimized BFS, the thread-count determinism
- * contract of measureGraph, and the memoized GraphStats cache.
+ * contract of measureGraph, the exact content fingerprint, and the
+ * fingerprint-keyed GraphStats and workload-profile memo caches.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,17 @@
 #include "graph/props.hh"
 #include "graph/stats_cache.hh"
 #include "util/thread_pool.hh"
+#include "workloads/betweenness.hh"
+#include "workloads/bfs.hh"
+#include "workloads/comm_detect.hh"
+#include "workloads/conn_comp.hh"
+#include "workloads/dfs.hh"
+#include "workloads/pagerank.hh"
+#include "workloads/pagerank_dp.hh"
+#include "workloads/profile_cache.hh"
+#include "workloads/sssp_bf.hh"
+#include "workloads/sssp_delta.hh"
+#include "workloads/synthetic.hh"
 
 namespace heteromap {
 namespace {
@@ -418,6 +430,74 @@ TEST(PropsFingerprint, ContentBasedAcrossCopies)
     EXPECT_TRUE(fingerprintGraph(g) == fingerprintGraph(copy));
 }
 
+/**
+ * A 100-vertex graph whose 20000 neighbor entries are i % 100: large
+ * enough that a stride-sampled key (one element in every
+ * 20000 / 4096 = 4, from index 0) never reads index 1.
+ */
+Graph
+wideGraph(VertexId index1_target, std::vector<float> weights = {})
+{
+    constexpr VertexId kVertices = 100;
+    constexpr EdgeId kEdges = 20000;
+    std::vector<EdgeId> offsets(kVertices + 1);
+    for (VertexId v = 0; v <= kVertices; ++v)
+        offsets[v] = kEdges / kVertices * v;
+    std::vector<VertexId> neighbors(kEdges);
+    for (EdgeId e = 0; e < kEdges; ++e)
+        neighbors[e] = static_cast<VertexId>(e % kVertices);
+    neighbors[1] = index1_target;
+    return Graph(std::move(offsets), std::move(neighbors),
+                 std::move(weights));
+}
+
+TEST(PropsFingerprint, EveryElementIsHashedNotASample)
+{
+    const Graph base = wideGraph(1);
+    const Graph tweaked = wideGraph(7); // differs only at index 1
+    ASSERT_GT(base.numEdges(), 4096u);
+    ASSERT_EQ(base.footprintBytes(), tweaked.footprintBytes());
+    EXPECT_FALSE(fingerprintGraph(base) == fingerprintGraph(tweaked));
+    EXPECT_NE(mixFingerprint(fingerprintGraph(base)),
+              mixFingerprint(fingerprintGraph(tweaked)));
+}
+
+TEST(PropsFingerprint, WeightsArePartOfTheContent)
+{
+    std::vector<float> light(20000, 1.0f);
+    std::vector<float> heavy = light;
+    heavy[12345] = 2.5f; // same structure, one different weight
+    const Graph a = wideGraph(1, light);
+    const Graph b = wideGraph(1, heavy);
+    ASSERT_EQ(a.offsets(), b.offsets());
+    ASSERT_EQ(a.rawNeighbors(), b.rawNeighbors());
+    EXPECT_FALSE(fingerprintGraph(a) == fingerprintGraph(b));
+
+    GraphStatsCache cache(4);
+    cache.measure(a);
+    cache.measure(b);
+    EXPECT_EQ(cache.misses(), 2u);
+}
+
+TEST(PropsFingerprint, ComputedOnceAndTracksMoves)
+{
+    Graph g = generateRmat(8, 6.0, 17);
+    // An O(1) read of the value stored at construction.
+    EXPECT_EQ(&fingerprintGraph(g), &g.fingerprint());
+    const GraphFingerprint before = fingerprintGraph(g);
+
+    Graph moved = std::move(g);
+    EXPECT_TRUE(fingerprintGraph(moved) == before);
+    // The moved-from graph is empty, and fingerprints as empty.
+    EXPECT_EQ(g.numVertices(), 0u);
+    EXPECT_TRUE(fingerprintGraph(g) == fingerprintGraph(Graph()));
+
+    Graph assigned;
+    assigned = std::move(moved);
+    EXPECT_TRUE(fingerprintGraph(assigned) == before);
+    EXPECT_TRUE(fingerprintGraph(moved) == fingerprintGraph(Graph()));
+}
+
 TEST(PropsStatsCache, HitMissAndValueCorrectness)
 {
     GraphStatsCache cache(8);
@@ -527,6 +607,159 @@ TEST(PropsStatsCache, GlobalCacheIsWiredAndMemoizes)
     GraphStats second = cache.measure(g);
     EXPECT_TRUE(statsBitEqual(first, second));
     EXPECT_GE(cache.hits(), hits_before + 1);
+}
+
+/** Field-by-field, bit-level WorkloadProfile equality. */
+::testing::AssertionResult
+profilesBitEqual(const WorkloadProfile &a, const WorkloadProfile &b)
+{
+    auto same = [](double x, double y) {
+        return std::memcmp(&x, &y, sizeof x) == 0;
+    };
+    if (a.barriers != b.barriers || a.iterations != b.iterations ||
+        a.phases.size() != b.phases.size())
+        return ::testing::AssertionFailure() << "profile shapes differ";
+    for (std::size_t i = 0; i < a.phases.size(); ++i) {
+        const PhaseProfile &p = a.phases[i];
+        const PhaseProfile &q = b.phases[i];
+        const bool equal =
+            p.name == q.name && p.kind == q.kind &&
+            p.invocations == q.invocations &&
+            p.workItems == q.workItems && same(p.intOps, q.intOps) &&
+            same(p.fpOps, q.fpOps) &&
+            same(p.directAccesses, q.directAccesses) &&
+            same(p.indirectAccesses, q.indirectAccesses) &&
+            same(p.sharedReadBytes, q.sharedReadBytes) &&
+            same(p.sharedWriteBytes, q.sharedWriteBytes) &&
+            same(p.localBytes, q.localBytes) &&
+            same(p.atomics, q.atomics) &&
+            same(p.maxItemCost, q.maxItemCost) &&
+            p.bucketCost.size() == q.bucketCost.size() &&
+            std::memcmp(p.bucketCost.data(), q.bucketCost.data(),
+                        sizeof(double) * p.bucketCost.size()) == 0;
+        if (!equal)
+            return ::testing::AssertionFailure()
+                << "phase " << p.name << " differs";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(PropsProfileCache, HitsReturnTheExecutedProfile)
+{
+    ProfileCache cache(8);
+    const Graph g = generateRmat(9, 8.0, 31);
+    const PageRank pagerank;
+    const WorkloadProfile expected = pagerank.runProfiled(g).second;
+
+    EXPECT_TRUE(profilesBitEqual(cache.profile(pagerank, g), expected));
+    EXPECT_TRUE(profilesBitEqual(cache.profile(pagerank, g), expected));
+    // A structural copy and a fresh instance of the same workload hit.
+    const Graph copy = g;
+    EXPECT_TRUE(
+        profilesBitEqual(cache.profile(PageRank(), copy), expected));
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.hits(), 2u);
+}
+
+TEST(PropsProfileCache, CountersAreExactUnderEviction)
+{
+    ProfileCache cache(2);
+    const Graph g = generateUniformRandom(300, 1500, 37);
+    const PageRank pagerank;
+    const Bfs bfs;
+    const ConnectedComponents conn;
+
+    cache.profile(pagerank, g); // miss
+    cache.profile(pagerank, g); // hit
+    cache.profile(bfs, g);      // miss
+    EXPECT_EQ(cache.evictions(), 0u);
+    cache.profile(conn, g);     // miss, evicts PR (least recent)
+    cache.profile(pagerank, g); // miss again, evicts BFS
+    EXPECT_EQ(cache.misses(), 4u);
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.evictions(), 2u);
+    EXPECT_EQ(cache.size(), 2u);
+    cache.profile(conn, g); // still resident
+    EXPECT_EQ(cache.hits(), 2u);
+}
+
+TEST(PropsProfileCache, WorkloadParametersArePartOfTheKey)
+{
+    ProfileCache cache(8);
+    const Graph g = generateRmat(8, 6.0, 41);
+    const PageRank standard;
+    const PageRank short_run(0.5, 2);
+    ASSERT_EQ(standard.name(), short_run.name());
+
+    const WorkloadProfile a = cache.profile(standard, g);
+    const WorkloadProfile b = cache.profile(short_run, g);
+    EXPECT_EQ(cache.misses(), 2u);
+    EXPECT_NE(a.iterations, b.iterations);
+    EXPECT_TRUE(profilesBitEqual(b, short_run.runProfiled(g).second));
+}
+
+TEST(PropsProfileCache, IdentityCoversEveryParameter)
+{
+    // Same name(), different parameters: identities must differ.
+    const std::pair<std::unique_ptr<Workload>, std::unique_ptr<Workload>>
+        pairs[] = {
+            {std::make_unique<PageRank>(), std::make_unique<PageRank>(
+                                               0.85, 20, 1e-6)},
+            {std::make_unique<PageRankDp>(),
+             std::make_unique<PageRankDp>(0.9)},
+            {std::make_unique<SsspDelta>(),
+             std::make_unique<SsspDelta>(0, 3)},
+            {std::make_unique<SsspBellmanFord>(),
+             std::make_unique<SsspBellmanFord>(5)},
+            {std::make_unique<Bfs>(), std::make_unique<Bfs>(2)},
+            {std::make_unique<Dfs>(), std::make_unique<Dfs>(2)},
+            {std::make_unique<BetweennessCentrality>(),
+             std::make_unique<BetweennessCentrality>(4)},
+            {std::make_unique<CommunityDetection>(),
+             std::make_unique<CommunityDetection>(3)},
+            // name() shows only the low 16 bits of the seed.
+            {std::make_unique<SyntheticWorkload>(BVariables{}, 0x10001),
+             std::make_unique<SyntheticWorkload>(BVariables{}, 0x20001)},
+        };
+    for (const auto &[a, b] : pairs) {
+        EXPECT_EQ(a->name(), b->name());
+        EXPECT_NE(a->identity(), b->identity()) << a->identity();
+    }
+}
+
+TEST(PropsProfileCache, ConcurrentMissesConverge)
+{
+    ProfileCache cache(8);
+    const Graph g = generateRmat(10, 8.0, 43);
+    const Bfs bfs;
+    const WorkloadProfile expected = bfs.runProfiled(g).second;
+
+    std::vector<WorkloadProfile> results(8);
+    ThreadPool pool(4);
+    pool.parallelFor(8, [&](std::size_t i) {
+        results[i] = cache.profile(bfs, g);
+    });
+    for (const WorkloadProfile &profile : results)
+        EXPECT_TRUE(profilesBitEqual(profile, expected));
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.hits() + cache.misses(), 8u);
+    EXPECT_GE(cache.misses(), 1u);
+}
+
+TEST(PropsProfileCache, GlobalCacheMirrorsRegistryCounters)
+{
+    ProfileCache &cache = globalProfileCache();
+    const Graph g = generateUniformRandom(400, 2000, 47);
+    const PageRank pagerank;
+    const uint64_t hits_before = cache.hits();
+    cache.profile(pagerank, g);
+    cache.profile(pagerank, g);
+    EXPECT_GE(cache.hits(), hits_before + 1);
+    EXPECT_EQ(cache.hits(),
+              telemetry::registry().counter("profile_cache.hits").value());
+    EXPECT_EQ(
+        cache.misses(),
+        telemetry::registry().counter("profile_cache.misses").value());
 }
 
 } // namespace

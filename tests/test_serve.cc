@@ -27,6 +27,7 @@
 #include "serve/request_queue.hh"
 #include "util/logging.hh"
 #include "util/telemetry.hh"
+#include "workloads/pagerank.hh"
 #include "workloads/registry.hh"
 
 namespace heteromap {
@@ -582,6 +583,159 @@ TEST_F(ServeServiceTest, BatchedResponsesMatchUnbatched)
                   b.deployment.report.seconds);
         EXPECT_EQ(a.deployment.report.joules,
                   b.deployment.report.joules);
+    }
+}
+
+/** Bit-level equality of the served prediction and modelled run. */
+void
+expectSameDeployment(const Deployment &a, const Deployment &b)
+{
+    EXPECT_EQ(a.config, b.config);
+    EXPECT_EQ(0, std::memcmp(a.predicted.m.data(), b.predicted.m.data(),
+                             sizeof(double) * a.predicted.m.size()));
+    EXPECT_EQ(0, std::memcmp(&a.report.seconds, &b.report.seconds,
+                             sizeof(double)));
+    EXPECT_EQ(0, std::memcmp(&a.report.joules, &b.report.joules,
+                             sizeof(double)));
+}
+
+TEST_F(ServeServiceTest, ParameterizedWorkloadsDoNotShareABatchGroup)
+{
+    // PageRank() and PageRank(0.5, 2) share the name "PR". Grouping a
+    // batch by name would serve the second the first one's case.
+    const auto standard = std::make_shared<const PageRank>();
+    const auto short_run = std::make_shared<const PageRank>(0.5, 2);
+
+    std::vector<ServeResponse> reference;
+    {
+        ServiceOptions options;
+        options.workers = 1;
+        options.maxBatch = 1;
+        PredictionService service(registry_, options);
+        for (const auto &workload : {standard, short_run})
+            reference.push_back(
+                service.submit(makeRequest(workload, mesh_, "g")).get());
+    }
+
+    std::vector<ServeResponse> batched;
+    {
+        ServiceOptions options;
+        options.workers = 1;
+        options.maxBatch = 8;
+        options.maxBatchDelayMs = 50.0;
+        PredictionService service(registry_, options);
+        std::vector<std::future<ServeResponse>> futures;
+        for (const auto &workload : {standard, short_run})
+            futures.push_back(
+                service.submit(makeRequest(workload, mesh_, "g")));
+        for (auto &future : futures)
+            batched.push_back(future.get());
+    }
+
+    ASSERT_EQ(batched.size(), 2u);
+    EXPECT_EQ(batched[0].batchSize, 2u);
+    EXPECT_NE(reference[0].deployment.report.seconds,
+              reference[1].deployment.report.seconds);
+    for (std::size_t i = 0; i < 2; ++i) {
+        ASSERT_EQ(batched[i].status, ServeStatus::Ok);
+        expectSameDeployment(reference[i].deployment,
+                             batched[i].deployment);
+    }
+}
+
+TEST_F(ServeServiceTest, WarmProfileServesTheColdAnswer)
+{
+    ServiceOptions options;
+    options.workers = 1;
+    options.maxBatch = 1;
+    options.statsMetricsPrefix.clear(); // detached, exact counters
+    PredictionService service(registry_, options);
+
+    const ServeResponse cold =
+        service.submit(makeRequest(bfs_, star_, "g")).get();
+    const ServeResponse warm =
+        service.submit(makeRequest(bfs_, star_, "g")).get();
+    ASSERT_EQ(cold.status, ServeStatus::Ok);
+    ASSERT_EQ(warm.status, ServeStatus::Ok);
+    expectSameDeployment(cold.deployment, warm.deployment);
+    EXPECT_EQ(service.profileMisses(), 1u);
+    EXPECT_EQ(service.profileHits(), 1u);
+
+    // And both equal the uncached reference constructor's answer.
+    const HeteroMap &framework = *registry_.current()->framework;
+    const Deployment reference = framework.deploy(
+        makeCase(*bfs_, *star_, "g", measureGraph(*star_)));
+    expectSameDeployment(reference, warm.deployment);
+}
+
+TEST_F(ServeServiceTest, ProfileShardsCountExactlyIntoStatusz)
+{
+    ServiceOptions options;
+    options.workers = 1;
+    options.maxBatch = 1;
+    options.statsShards = 2;
+    options.statsMetricsPrefix = "serve.shard7.stats_cache";
+    const uint64_t hits_before =
+        telemetry::registry()
+            .counter("serve.shard7.profile_cache.hits")
+            .value();
+    const uint64_t misses_before =
+        telemetry::registry()
+            .counter("serve.shard7.profile_cache.misses")
+            .value();
+    PredictionService service(registry_, options);
+
+    // Three distinct (workload, graph) pairs, each served three times.
+    for (int round = 0; round < 3; ++round) {
+        service.submit(makeRequest(pagerank_, mesh_, "g")).get();
+        service.submit(makeRequest(bfs_, mesh_, "g")).get();
+        service.submit(makeRequest(bfs_, star_, "g")).get();
+    }
+    service.close();
+
+    EXPECT_EQ(service.profileMisses() - misses_before, 3u);
+    EXPECT_EQ(service.profileHits() - hits_before, 6u);
+    const ServiceStatus status = service.statusz();
+    EXPECT_EQ(status.profileHits, service.profileHits());
+    EXPECT_EQ(status.profileMisses, service.profileMisses());
+    EXPECT_EQ(status.profileHits,
+              telemetry::registry()
+                  .counter("serve.shard7.profile_cache.hits")
+                  .value());
+    EXPECT_NE(statuszJson(status).find("\"profile_cache\":{\"hits\":"),
+              std::string::npos);
+    EXPECT_NE(statuszText(status).find("profile_cache: hits="),
+              std::string::npos);
+}
+
+TEST_F(ServeServiceTest, ProfilePrefixFollowsTheStatsPrefix)
+{
+    EXPECT_EQ(profileMetricsPrefix("serve.stats_cache"),
+              "serve.profile_cache");
+    EXPECT_EQ(profileMetricsPrefix("serve.shard3.stats_cache"),
+              "serve.shard3.profile_cache");
+    EXPECT_EQ(profileMetricsPrefix("tenant.a"), "tenant.a.profile_cache");
+    EXPECT_EQ(profileMetricsPrefix(""), "");
+}
+
+TEST_F(ServeServiceTest, RacingProfileMissesServeOneAnswer)
+{
+    ServiceOptions options;
+    options.workers = 4;
+    options.maxBatch = 1; // every request is its own batch: real races
+    PredictionService service(registry_, options);
+    const auto graph = sharedGraph(generateRmat(10, 8.0, 5));
+
+    std::vector<std::future<ServeResponse>> futures;
+    for (int i = 0; i < 16; ++i)
+        futures.push_back(service.submit(makeRequest(bfs_, graph, "g")));
+    std::vector<ServeResponse> responses;
+    for (auto &future : futures)
+        responses.push_back(future.get());
+    for (const ServeResponse &response : responses) {
+        ASSERT_EQ(response.status, ServeStatus::Ok);
+        expectSameDeployment(responses.front().deployment,
+                             response.deployment);
     }
 }
 

@@ -399,6 +399,9 @@ TEST(Telemetry, PredictStageHistogramsSumToOverheadMs)
     EXPECT_NEAR(stage_sum_ms, out.overheadMs,
                 out.overheadMs * 0.01);
     EXPECT_EQ(counterValue(snap, "predict.calls"), 1u);
+    // Profiling is its own stage, outside the predictor overhead.
+    ASSERT_TRUE(snap.histograms.count("predict.stage.profile_ms"));
+    EXPECT_EQ(snap.histograms.at("predict.stage.profile_ms").count, 1u);
 }
 
 TEST(Telemetry, StatsCacheAccessorsMatchRegistryCounters)
