@@ -44,39 +44,6 @@ Executor::phaseSlot(const std::string &name, PhaseKind kind)
 }
 
 void
-Executor::parallelFor(const std::string &name, PhaseKind kind,
-                      uint64_t num_items, const Kernel &kernel)
-{
-    PhaseProfile &phase = phaseSlot(name, kind);
-    ++phase.invocations;
-    phase.workItems += num_items;
-    if (num_items == 0)
-        return;
-
-    for (uint64_t idx = 0; idx < num_items; ++idx) {
-        ItemCost cost;
-        kernel(idx, cost);
-
-        phase.intOps += cost.intOps;
-        phase.fpOps += cost.fpOps;
-        phase.directAccesses += cost.directAccesses;
-        phase.indirectAccesses += cost.indirectAccesses;
-        phase.sharedReadBytes += cost.sharedReadBytes;
-        phase.sharedWriteBytes += cost.sharedWriteBytes;
-        phase.localBytes += cost.localBytes;
-        phase.atomics += cost.atomics;
-
-        double units = cost.workUnits();
-        phase.maxItemCost = std::max(phase.maxItemCost, units);
-        // 128-bit intermediate: idx * kNumBuckets overflows uint64_t
-        // once num_items exceeds 2^64 / kNumBuckets (~3.6e16 items).
-        std::size_t bucket = static_cast<std::size_t>(
-            (static_cast<__uint128_t>(idx) * kNumBuckets) / num_items);
-        phase.bucketCost[bucket] += units;
-    }
-}
-
-void
 Executor::barrier()
 {
     ++profile_.barriers;

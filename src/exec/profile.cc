@@ -26,15 +26,6 @@ phaseKindName(PhaseKind kind)
 }
 
 double
-ItemCost::workUnits() const
-{
-    // Memory accesses dominate graph-analytic cost; indirect accesses
-    // weigh double because they serialize on the memory system.
-    return intOps + fpOps + directAccesses + 2.0 * indirectAccesses +
-           4.0 * atomics;
-}
-
-double
 PhaseProfile::totalAccesses() const
 {
     return directAccesses + indirectAccesses;

@@ -46,8 +46,17 @@ struct ItemCost {
     double localBytes = 0.0;      //!< thread-local traffic (B11)
     double atomics = 0.0;         //!< atomic updates (B12)
 
-    /** Scalar "work units" used for load-balance bucketing. */
-    double workUnits() const;
+    /**
+     * Scalar "work units" used for load-balance bucketing. Memory
+     * accesses dominate graph-analytic cost; indirect accesses weigh
+     * double because they serialize on the memory system.
+     */
+    double
+    workUnits() const
+    {
+        return intOps + fpOps + directAccesses + 2.0 * indirectAccesses +
+               4.0 * atomics;
+    }
 };
 
 /**

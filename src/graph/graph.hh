@@ -59,7 +59,10 @@ class Graph
      * Adopt prebuilt CSR arrays. @p offsets must have size V+1 with
      * offsets[0] == 0 and offsets[V] == neighbors.size(); @p weights
      * is either empty (unweighted) or the same size as @p neighbors.
-     * Hashes the arrays once (see fingerprint()).
+     * Each vertex's adjacency list must be sorted ascending:
+     * workloads rely on it (triangle counting intersects sorted
+     * lists with a forward search) and only GraphBuilder enforces
+     * it. Hashes the arrays once (see fingerprint()).
      */
     Graph(std::vector<EdgeId> offsets, std::vector<VertexId> neighbors,
           std::vector<float> weights = {});

@@ -300,6 +300,7 @@ class JsonParser
   private:
     const std::string &text_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0; //!< open arrays/objects around pos_
 
     [[noreturn]] void
     fail(const std::string &why)
@@ -347,8 +348,8 @@ class JsonParser
         skipWhitespace();
         JsonValue value;
         switch (peek()) {
-          case '{': return parseObject();
-          case '[': return parseArray();
+          case '{':
+          case '[': return parseNested();
           case '"':
             value.kind = JsonValue::Kind::String;
             value.string = parseString();
@@ -370,6 +371,18 @@ class JsonParser
             return value;
           default: return parseNumber();
         }
+    }
+
+    /** An array or object, one level deeper than the caller. */
+    JsonValue
+    parseNested()
+    {
+        if (++depth_ > kMaxJsonDepth)
+            fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+                 " levels");
+        JsonValue value = peek() == '{' ? parseObject() : parseArray();
+        --depth_;
+        return value;
     }
 
     JsonValue

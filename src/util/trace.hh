@@ -25,6 +25,7 @@
 #ifndef HETEROMAP_UTIL_TRACE_HH
 #define HETEROMAP_UTIL_TRACE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -107,10 +108,20 @@ bool validateChromeTrace(const std::string &json,
                          std::size_t *num_events = nullptr);
 
 /**
+ * Deepest array/object nesting the JSON parser behind validateJson(),
+ * parseChromeTrace() and validateChromeTrace() accepts. Statusz
+ * snapshots and Chrome traces nest a handful of levels; the cap keeps
+ * the recursive-descent parser's stack bounded on hostile input, which
+ * is rejected as a malformed document.
+ */
+inline constexpr std::size_t kMaxJsonDepth = 512;
+
+/**
  * True when @p json parses as one complete JSON document. Shared by
  * the forensics tests/benches to assert flight-recorder JSONL lines
  * and statusz snapshots are well-formed without growing a second
- * parser. On failure sets @p error when non-null.
+ * parser. On failure (including nesting deeper than kMaxJsonDepth)
+ * sets @p error when non-null.
  */
 bool validateJson(const std::string &json, std::string *error = nullptr);
 

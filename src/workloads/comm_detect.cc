@@ -7,7 +7,7 @@
 
 #include "workloads/comm_detect.hh"
 
-#include <unordered_map>
+#include <cstdint>
 #include <unordered_set>
 #include <vector>
 
@@ -43,6 +43,13 @@ CommunityDetection::run(const Graph &graph, Executor &exec) const
     for (VertexId v = 0; v < n; ++v)
         label[v] = v;
 
+    // Label-indexed weighted histogram shared by every vertex of every
+    // round: `touched` lists the labels seen at the current vertex in
+    // first-seen order, and only those slots are reset afterwards.
+    std::vector<double> score(n, 0.0);
+    std::vector<uint8_t> present(n, 0);
+    std::vector<VertexId> touched;
+
     for (unsigned round = 0; round < maxRounds_; ++round) {
         uint64_t changes = 0;
 
@@ -58,10 +65,15 @@ CommunityDetection::run(const Graph &graph, Executor &exec) const
                     next[v] = label[v];
                     return;
                 }
-                // Per-thread weighted histogram over neighbor labels.
-                std::unordered_map<VertexId, double> score;
+                // Per-thread weighted histogram over neighbor labels;
+                // each label's sum takes its edges' weights in edge
+                // order.
                 for (std::size_t e = 0; e < nbrs.size(); ++e) {
                     VertexId lab = label[nbrs[e]];
+                    if (!present[lab]) {
+                        present[lab] = 1;
+                        touched.push_back(lab);
+                    }
                     score[lab] +=
                         wts.empty() ? 1.0 : static_cast<double>(wts[e]);
                     cost.fpOps += 1;
@@ -70,9 +82,12 @@ CommunityDetection::run(const Graph &graph, Executor &exec) const
                     cost.sharedReadBytes += 8;  // adjacency + weight
                     cost.localBytes += 12;      // histogram entry
                 }
+                // The best (score, smallest label) pair does not
+                // depend on the scan order.
                 VertexId best = label[v];
                 double best_score = -1.0;
-                for (const auto &[lab, s] : score) {
+                for (VertexId lab : touched) {
+                    const double s = score[lab];
                     cost.fpOps += 1;
                     cost.localBytes += 12;
                     if (s > best_score ||
@@ -80,7 +95,10 @@ CommunityDetection::run(const Graph &graph, Executor &exec) const
                         best = lab;
                         best_score = s;
                     }
+                    score[lab] = 0.0;
+                    present[lab] = 0;
                 }
+                touched.clear();
                 next[v] = best;
                 cost.sharedWriteBytes += 4;
             });

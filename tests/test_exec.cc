@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "exec/executor.hh"
 #include "util/logging.hh"
 
@@ -80,6 +83,69 @@ TEST(ExecutorTest, BucketsCaptureSkew)
     }
     EXPECT_GT(first_half, 5.0 * second_half);
     EXPECT_DOUBLE_EQ(phase.maxItemCost, 10.0);
+}
+
+TEST(ExecutorTest, ItemLandsInBucketIdxTimesBucketsOverItems)
+{
+    for (uint64_t n : {1, 7, 511, 512, 513, 1000, 4099}) {
+        // One phase counts the items per bucket, the other sums their
+        // (idx + 1): together they pin each bucket's index interval.
+        Executor exec;
+        exec.parallelFor("count", PhaseKind::VertexDivision, n,
+                         [](uint64_t, ItemCost &cost) {
+                             cost.intOps += 1;
+                         });
+        exec.parallelFor("weight", PhaseKind::VertexDivision, n,
+                         [](uint64_t idx, ItemCost &cost) {
+                             cost.intOps += static_cast<double>(idx + 1);
+                         });
+        std::vector<double> count(kNumBuckets, 0.0);
+        std::vector<double> weight(kNumBuckets, 0.0);
+        for (uint64_t idx = 0; idx < n; ++idx) {
+            const std::size_t bucket = idx * kNumBuckets / n;
+            count[bucket] += 1.0;
+            weight[bucket] += static_cast<double>(idx + 1);
+        }
+        const auto &phases = exec.profile().phases;
+        ASSERT_EQ(phases.size(), 2u);
+        EXPECT_EQ(phases[0].bucketCost, count) << "n=" << n;
+        EXPECT_EQ(phases[1].bucketCost, weight) << "n=" << n;
+    }
+}
+
+TEST(ExecutorTest, RepeatedInvocationsFoldLikeOneItemAtATime)
+{
+    // Non-integer costs make the fold order observable: the running
+    // sums must equal adding every item's cost to the phase in turn,
+    // across invocations.
+    Executor exec;
+    PhaseProfile expected;
+    expected.bucketCost.assign(kNumBuckets, 0.0);
+    for (uint64_t n : {3, 700, 1}) {
+        auto kernel = [](uint64_t idx, ItemCost &cost) {
+            cost.intOps += 1;
+            cost.intOps += 0.1 * static_cast<double>(idx % 7);
+            cost.localBytes += 1e16 + static_cast<double>(idx);
+            cost.atomics += 0.3;
+        };
+        exec.parallelFor("fold", PhaseKind::Pareto, n, kernel);
+        for (uint64_t idx = 0; idx < n; ++idx) {
+            ItemCost cost;
+            kernel(idx, cost);
+            expected.intOps += cost.intOps;
+            expected.localBytes += cost.localBytes;
+            expected.atomics += cost.atomics;
+            expected.maxItemCost =
+                std::max(expected.maxItemCost, cost.workUnits());
+            expected.bucketCost[idx * kNumBuckets / n] += cost.workUnits();
+        }
+    }
+    const PhaseProfile &phase = exec.profile().phases[0];
+    EXPECT_EQ(phase.intOps, expected.intOps);
+    EXPECT_EQ(phase.localBytes, expected.localBytes);
+    EXPECT_EQ(phase.atomics, expected.atomics);
+    EXPECT_EQ(phase.maxItemCost, expected.maxItemCost);
+    EXPECT_EQ(phase.bucketCost, expected.bucketCost);
 }
 
 TEST(ExecutorTest, TakeProfileResets)

@@ -324,6 +324,47 @@ TEST(Telemetry, ValidatorAcceptsBalancedDurationEvents)
     EXPECT_TRUE(telemetry::validateChromeTrace(json, &error)) << error;
 }
 
+TEST(Telemetry, JsonNestingIsCappedNotRecursedWithoutBound)
+{
+    auto nested = [](std::size_t depth, const std::string &inner) {
+        return std::string(depth, '[') + inner + std::string(depth, ']');
+    };
+    std::string error;
+    // Exactly at the cap parses; one level deeper is a parse error.
+    EXPECT_TRUE(telemetry::validateJson(
+        nested(telemetry::kMaxJsonDepth, ""), &error)) << error;
+    EXPECT_FALSE(telemetry::validateJson(
+        nested(telemetry::kMaxJsonDepth + 1, ""), &error));
+    EXPECT_NE(error.find("nesting"), std::string::npos) << error;
+
+    // 200k levels would overflow the stack of an unbounded
+    // recursive descent.
+    const std::string hostile = nested(200000, "");
+    error.clear();
+    EXPECT_FALSE(telemetry::validateJson(hostile, &error));
+    EXPECT_FALSE(error.empty());
+
+    std::string objects;
+    for (int i = 0; i < 200000; ++i)
+        objects += "{\"a\":";
+    objects += "1" + std::string(200000, '}');
+    error.clear();
+    EXPECT_FALSE(telemetry::validateJson(objects, &error));
+    EXPECT_FALSE(error.empty());
+
+    // The trace readers share the parser and fail the same way.
+    error.clear();
+    EXPECT_TRUE(telemetry::parseChromeTrace(hostile, &error).empty());
+    EXPECT_FALSE(error.empty());
+    const std::string deep_trace =
+        "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\",\"ts\":1,"
+        "\"dur\":1,\"pid\":1,\"tid\":1,\"args\":" +
+        nested(200000, "0") + "}]}";
+    error.clear();
+    EXPECT_FALSE(telemetry::validateChromeTrace(deep_trace, &error));
+    EXPECT_FALSE(error.empty());
+}
+
 TEST(Telemetry, ValidatorRejectsMalformedTraces)
 {
     std::string error;

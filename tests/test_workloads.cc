@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <set>
+#include <string>
 
 #include "graph/builder.hh"
 #include "graph/generators.hh"
@@ -287,6 +290,145 @@ TEST_F(WorkloadTest, OutputsAreDeterministic)
         auto b = makeWorkload(name)->runProfiled(g).first;
         EXPECT_EQ(a.vertexValues, b.vertexValues) << name;
         EXPECT_DOUBLE_EQ(a.scalar, b.scalar) << name;
+    }
+}
+
+/** FNV-1a over raw bytes, continuing from @p h. */
+uint64_t
+fnv1a(uint64_t h, const void *data, std::size_t len)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < len; ++i) {
+        h ^= p[i];
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+template <typename T>
+uint64_t
+fnvValue(uint64_t h, const T &value)
+{
+    return fnv1a(h, &value, sizeof(value));
+}
+
+/**
+ * Digest of everything a run produces: every PhaseProfile field
+ * (doubles by bit pattern), the bucket histograms, the global
+ * barrier/iteration counts, the per-vertex values and the scalar.
+ */
+uint64_t
+runDigest(const WorkloadOutput &out, const WorkloadProfile &prof)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (const auto &ph : prof.phases) {
+        h = fnv1a(h, ph.name.data(), ph.name.size());
+        h = fnvValue(h, static_cast<int>(ph.kind));
+        for (uint64_t count : {ph.invocations, ph.workItems})
+            h = fnvValue(h, count);
+        for (double field :
+             {ph.intOps, ph.fpOps, ph.directAccesses, ph.indirectAccesses,
+              ph.sharedReadBytes, ph.sharedWriteBytes, ph.localBytes,
+              ph.atomics, ph.maxItemCost})
+            h = fnvValue(h, field);
+        h = fnv1a(h, ph.bucketCost.data(),
+                  ph.bucketCost.size() * sizeof(double));
+    }
+    h = fnvValue(h, prof.barriers);
+    h = fnvValue(h, prof.iterations);
+    h = fnv1a(h, out.vertexValues.data(),
+              out.vertexValues.size() * sizeof(double));
+    return fnvValue(h, out.scalar);
+}
+
+/** Ring lattice with small integer weights, so COMM scores tie. */
+Graph
+tiedWeightMesh()
+{
+    const VertexId n = 400;
+    GraphBuilder builder(n);
+    for (VertexId v = 0; v < n; ++v) {
+        for (VertexId k = 1; k <= 3; ++k) {
+            VertexId u = (v + k) % n;
+            builder.addEdge(v, u, static_cast<float>(1 + (v + u) % 2));
+        }
+        builder.addEdge(v, (v * 37 + 11) % n, 2.0f);
+    }
+    return builder.symmetrize().dedup().dropSelfLoops().build();
+}
+
+/**
+ * Low-degree graph: ten disjoint triangles (every TRI intersection
+ * probes a list of size 2, below the two-probe floor), a sparse
+ * pseudo-random remainder, a pendant vertex and an isolated vertex.
+ */
+Graph
+lowDegreeGraph()
+{
+    const VertexId n = 160;
+    GraphBuilder builder(n);
+    for (VertexId t = 0; t < 10; ++t) {
+        builder.addEdge(3 * t, 3 * t + 1);
+        builder.addEdge(3 * t + 1, 3 * t + 2);
+        builder.addEdge(3 * t + 2, 3 * t);
+    }
+    uint64_t state = 0x243f6a8885a308d3ULL;
+    for (int e = 0; e < 260; ++e) {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        auto a = static_cast<VertexId>(30 + (state >> 33) % 127);
+        auto b = static_cast<VertexId>(30 + (state >> 13) % 127);
+        builder.addEdge(a, b);
+    }
+    builder.addEdge(157, 30);
+    return builder.symmetrize().dedup().dropSelfLoops()
+        .randomWeights(31).build();
+}
+
+/**
+ * Golden digests of profile + output for the nine Fig. 5 benchmarks
+ * on four seeded graphs. The cost-add sequence of every item is part
+ * of the profile (a bulk `+= k` rounds differently from k `+= 1`
+ * once a counter holds a non-integer), so any optimisation of the
+ * executor or the kernels must leave these exactly unchanged.
+ */
+TEST(WorkloadGoldenTest, ProfilesAndOutputsAreBitIdentical)
+{
+    struct Case {
+        const char *graph;
+        Graph (*make)();
+    };
+    const Case cases[] = {
+        {"dense-er", [] { return generateDenseEr(120, 0.3, 21); }},
+        {"rmat", [] { return generateRmat(9, 8.0, 22); }},
+        {"tied-mesh", tiedWeightMesh},
+        {"low-degree", lowDegreeGraph},
+    };
+    const std::vector<std::string> &names = workloadNames();
+    const uint64_t expected[4][9] = {
+        {0x12207879ca845a96ULL, 0xf5176fbae22fd794ULL, 0x2ca47080e08f08baULL,
+         0x6e8dc9ce03c1e2e0ULL, 0x0be5a2f31ec2d8a0ULL, 0x74a1ae5a63374568ULL,
+         0xa95d0c9963224206ULL, 0xb2613987b14f1229ULL, 0x615d3ff61d98d177ULL},
+        {0xaa6d1cc51b9abd10ULL, 0xe91870e3ee0c3a0fULL, 0x2b09442fa4cc27ddULL,
+         0x6d73363acdcd022cULL, 0x83f21019bab0db67ULL, 0xc805177945187b78ULL,
+         0xea4b1fa4b4b3cc6eULL, 0x34f9802f011a000aULL, 0x4c62d5c9481ae6e2ULL},
+        {0x909fa795a52296deULL, 0x57cfeb1e2a6be3b2ULL, 0x8981ddeac700253eULL,
+         0xc7c5726264ae6494ULL, 0x4046adc9466f18cfULL, 0x9595785fa6e6feefULL,
+         0x84c87b120f799e52ULL, 0x0c71f274bcc2a47aULL, 0x35b6ac2fdc335549ULL},
+        {0x9ebf1dd4b3a556e2ULL, 0x49acc552fe4dd31dULL, 0x1dd44ae6834785f6ULL,
+         0x9b0e421c8e59bd6bULL, 0x53ba5f960443160dULL, 0xd83994b74f6ae9ecULL,
+         0xf313bec7d3a4c293ULL, 0xd83d731015292174ULL, 0xc961c67bc4013ba9ULL},
+    };
+    for (std::size_t g = 0; g < 4; ++g) {
+        Graph graph = cases[g].make();
+        for (std::size_t w = 0; w < names.size(); ++w) {
+            auto [out, prof] = makeWorkload(names[w])->runProfiled(graph);
+            uint64_t digest = runDigest(out, prof);
+            char hex[32];
+            std::snprintf(hex, sizeof(hex), "0x%016llxULL",
+                          static_cast<unsigned long long>(digest));
+            EXPECT_EQ(digest, expected[g][w])
+                << cases[g].graph << " / " << names[w] << ": " << hex;
+        }
     }
 }
 
