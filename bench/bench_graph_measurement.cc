@@ -1,11 +1,11 @@
 /**
  * @file
- * Graph-measurement substrate benchmark: serial vs parallel
- * measureGraph, cold vs cached (memoized) repeat measurement, and
- * the end-to-end online predictor overhead with and without a warm
- * stats cache. Companion to bench_predictor_overhead: that one times
- * inference alone; this one times the property-collection side that
- * used to dominate the online path for large inputs.
+ * Graph-measurement substrate benchmark: measureGraph on each Table I
+ * proxy split into its stages (symmetry check, degree sweep, diameter
+ * traversals), cold vs cached (memoized) repeat measurement, and the
+ * end-to-end online predictor overhead with and without a warm stats
+ * cache. Companion to bench_predictor_overhead: that one times
+ * inference alone; this one times the property-collection side.
  *
  * Run: ./bench_graph_measurement
  */
@@ -16,13 +16,14 @@
 #include <vector>
 
 #include "core/heteromap.hh"
-#include "graph/compressed_csr.hh"
+#include "graph/datasets.hh"
+#include "graph/frontier.hh"
 #include "graph/generators.hh"
 #include "graph/stats_cache.hh"
 #include "util/logging.hh"
+#include "util/rng.hh"
 #include "util/table.hh"
 #include "util/telemetry.hh"
-#include "util/thread_pool.hh"
 #include "util/timer.hh"
 #include "workloads/registry.hh"
 
@@ -47,6 +48,38 @@ timeMs(int reps, Fn &&fn)
     return samples[samples.size() / 2];
 }
 
+/**
+ * The diameter probe's traversals alone: the same 2 * sweeps planned
+ * BFS runs measureGraph makes (default sweeps and seed), with the
+ * symmetry check's answer passed in instead of recomputed.
+ */
+void
+diameterTraversals(const Graph &graph, const GraphStats &stats,
+                   bool symmetric, FrontierScratch &scratch)
+{
+    const MeasureOptions defaults;
+    const TraversalPlan plan =
+        planTraversal(stats.numVertices, stats.numEdges,
+                      stats.avgDegree, stats.degreeStddev);
+    BfsOptions options;
+    if (plan.useBottomUp) {
+        options.allowBottomUp = symmetric;
+        options.bottomUpEdgeDivisor = plan.bottomUpEdgeDivisor;
+        options.topDownSizeDivisor = plan.topDownSizeDivisor;
+        options.bitmapFrontier = plan.bitmapFrontier;
+    }
+    Rng rng(defaults.seed);
+    for (unsigned i = 0; i < defaults.sweeps; ++i) {
+        const auto start =
+            static_cast<VertexId>(rng.nextBounded(graph.numVertices()));
+        scratch.clearVisited();
+        const BfsResult first =
+            flatBfs(graph, start, scratch, nullptr, options);
+        scratch.clearVisited();
+        flatBfs(graph, first.farthest, scratch, nullptr, options);
+    }
+}
+
 } // namespace
 
 int
@@ -55,6 +88,55 @@ main(int argc, char **argv)
     telemetry::TelemetryFileWriter telemetry_out(
         telemetry::consumeTelemetryOutFlag(argc, argv));
     setLogVerbose(false);
+
+    std::cout << "graph measurement substrate (serial, on the "
+                 "calling thread)\n\n";
+
+    // Where one cold measurement's time goes, per Table I proxy. The
+    // stage columns are timed separately, so they need not add up to
+    // the whole exactly; the largest one is the next to attack.
+    TextTable stage_table({"proxy", "#V", "#E", "measure ms",
+                           "symmetry ms", "degree ms", "traversals ms",
+                           "largest"});
+    FrontierScratch scratch;
+    for (const Dataset &dataset : evaluationDatasets()) {
+        const Graph &graph = dataset.proxy();
+        MeasureOptions degree_only;
+        degree_only.sweeps = 0;
+        const GraphStats stats = measureGraph(graph);
+        const bool symmetric = hasSymmetricAdjacency(graph);
+
+        const double measure_ms =
+            timeMs(5, [&] { measureGraph(graph); });
+        const double symmetry_ms =
+            timeMs(5, [&] { hasSymmetricAdjacency(graph); });
+        const double degree_ms =
+            timeMs(5, [&] { measureGraph(graph, degree_only); });
+        scratch.prepare(graph.numVertices());
+        const double traversal_ms = timeMs(5, [&] {
+            diameterTraversals(graph, stats, symmetric, scratch);
+        });
+
+        const char *largest = "traversals";
+        if (symmetry_ms > std::max(degree_ms, traversal_ms))
+            largest = "symmetry";
+        else if (degree_ms > traversal_ms)
+            largest = "degree";
+        stage_table.addRow({
+            dataset.shortName(),
+            formatCount(stats.numVertices),
+            formatCount(stats.numEdges),
+            formatNumber(measure_ms, 3),
+            formatNumber(symmetry_ms, 3),
+            formatNumber(degree_ms, 4),
+            formatNumber(traversal_ms, 3),
+            largest,
+        });
+    }
+    std::cout << "serial measurement per Table I proxy (median of 5; "
+                 "sweeps=4, seed=1):\n";
+    stage_table.print(std::cout);
+    std::cout << "\n";
 
     struct Input {
         std::string name;
@@ -67,25 +149,12 @@ main(int argc, char **argv)
         {"dense-er-1k", generateDenseEr(1000, 0.5, 37)},
     };
 
-    std::cout << "graph measurement substrate ("
-              << ThreadPool::defaultThreadCount()
-              << " hardware threads)\n\n";
-
-    TextTable table({"input", "#V", "#E", "serial ms", "parallel ms",
-                     "speedup", "cached ms", "cold/cached"});
+    TextTable table({"input", "#V", "#E", "cold ms", "cached ms",
+                     "cold/cached"});
     double worst_ratio = -1.0;
     for (const Input &input : inputs) {
-        MeasureOptions serial;
-        serial.threads = 1;
-        MeasureOptions parallel; // threads = 0: shared pool
-
-        const double serial_ms =
-            timeMs(3, [&] { measureGraph(input.graph, serial); });
-        const double parallel_ms =
-            timeMs(3, [&] { measureGraph(input.graph, parallel); });
-
-        // Cold vs cached through a private cache (the global one may
-        // already know these graphs).
+        // Through a private cache (the global one may already know
+        // these graphs).
         GraphStatsCache cache(8);
         const double cold_ms =
             timeMs(1, [&] { cache.measure(input.graph); });
@@ -100,13 +169,12 @@ main(int argc, char **argv)
             input.name,
             formatCount(stats.numVertices),
             formatCount(stats.numEdges),
-            formatNumber(serial_ms, 3),
-            formatNumber(parallel_ms, 3),
-            formatNumber(serial_ms / std::max(parallel_ms, 1e-9), 2),
+            formatNumber(cold_ms, 3),
             formatNumber(cached_ms, 5),
             formatNumber(ratio, 0) + "x",
         });
     }
+    std::cout << "cold vs cached measurement:\n";
     table.print(std::cout);
     std::cout << "\nworst cold/cached ratio: "
               << formatNumber(worst_ratio, 0)
@@ -115,13 +183,12 @@ main(int argc, char **argv)
     // Degree/stats sweep in isolation (sweeps = 0 skips the BFS
     // probes): blocked (default 256-vertex blocks, four accumulator
     // lanes) vs degenerate block=1, which approximates the old
-    // straight-line loop. Serial, so the delta is the kernel's alone.
+    // straight-line loop.
     TextTable sweep_table({"input", "block=1 ms", "blocked ms",
                            "speedup"});
     for (const Input &input : inputs) {
         MeasureOptions scalarish;
         scalarish.sweeps = 0;
-        scalarish.threads = 1;
         scalarish.statsBlock = 1;
         MeasureOptions blocked = scalarish;
         blocked.statsBlock = 0; // default blocking
@@ -137,53 +204,9 @@ main(int argc, char **argv)
             formatNumber(scalar_ms / std::max(blocked_ms, 1e-9), 2),
         });
     }
-    std::cout << "degree/stats sweep, blocked vs block=1 (serial, "
-                 "sweeps=0):\n";
+    std::cout << "degree/stats sweep, blocked vs block=1 "
+                 "(sweeps=0):\n";
     sweep_table.print(std::cout);
-    std::cout << "\n";
-
-    // Delta-encoded compressed CSR: payload size vs the raw 4-byte
-    // neighbor array, and the streaming (forEachNeighbor) scan rate
-    // vs the raw CSR scan.
-    TextTable csr_table({"input", "raw MB", "packed MB", "ratio",
-                         "raw scan ms", "stream ms"});
-    for (const Input &input : inputs) {
-        const CompressedCsr packed =
-            CompressedCsr::fromGraph(input.graph);
-        const double raw_mb =
-            static_cast<double>(input.graph.numEdges()) *
-            sizeof(VertexId) / 1e6;
-        const double packed_mb =
-            static_cast<double>(packed.payloadBytes()) / 1e6;
-
-        const double raw_ms = timeMs(5, [&] {
-            uint64_t acc = 0;
-            for (VertexId u : input.graph.rawNeighbors())
-                acc += u;
-            if (acc == 0x51c0ffee)
-                std::cout << ""; // defeat dead-code elimination
-        });
-        const double stream_ms = timeMs(5, [&] {
-            uint64_t acc = 0;
-            const VertexId n = packed.numVertices();
-            for (VertexId v = 0; v < n; ++v)
-                packed.forEachNeighbor(
-                    v, [&](VertexId u) { acc += u; });
-            if (acc == 0x51c0ffee)
-                std::cout << "";
-        });
-        csr_table.addRow({
-            input.name,
-            formatNumber(raw_mb, 2),
-            formatNumber(packed_mb, 2),
-            formatNumber(packed_mb / std::max(raw_mb, 1e-9), 2),
-            formatNumber(raw_ms, 3),
-            formatNumber(stream_ms, 3),
-        });
-    }
-    std::cout << "delta-encoded compressed CSR (chunked-streaming "
-                 "path):\n";
-    csr_table.print(std::cout);
     std::cout << "\n";
 
     // End-to-end online path: HeteroMap::predict measures through the

@@ -6,11 +6,9 @@
 #include "graph/frontier.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace heteromap {
 
@@ -23,17 +21,15 @@ wordCount(std::size_t n)
     return (n + 63) / 64;
 }
 
-/**
- * Atomically claim bit @p v; @return true for the winning claimer.
- * Relaxed order suffices: the pool's wait() barrier orders levels,
- * and within a level a claim only guards first-discovery.
- */
+/** Set bit @p v; @return true when it was clear before. */
 bool
 claimBit(std::vector<uint64_t> &bits, VertexId v)
 {
-    std::atomic_ref<uint64_t> word(bits[v >> 6]);
+    uint64_t &word = bits[v >> 6];
     const uint64_t mask = uint64_t{1} << (v & 63);
-    return (word.fetch_or(mask, std::memory_order_relaxed) & mask) == 0;
+    const bool was_clear = (word & mask) == 0;
+    word |= mask;
+    return was_clear;
 }
 
 bool
@@ -42,82 +38,23 @@ testBit(const std::vector<uint64_t> &bits, VertexId v)
     return (bits[v >> 6] >> (v & 63)) & 1u;
 }
 
-} // namespace
-
-void
-FrontierScratch::prepare(VertexId num_vertices)
-{
-    const std::size_t words = wordCount(num_vertices);
-    visited.resize(words);
-    curBits.resize(words);
-    nextBits.resize(words);
-    frontier.reserve(num_vertices);
-    next.reserve(num_vertices);
-}
-
-void
-FrontierScratch::clearVisited()
-{
-    std::fill(visited.begin(), visited.end(), 0);
-}
-
-void
-forEachChunk(std::size_t count, ThreadPool *pool,
-             const std::function<void(std::size_t, std::size_t,
-                                      std::size_t)> &fn)
-{
-    if (count == 0)
-        return;
-    const std::size_t chunks = (count + kFrontierChunk - 1) / kFrontierChunk;
-    if (pool == nullptr || chunks < 2) {
-        for (std::size_t c = 0; c < chunks; ++c)
-            fn(c, c * kFrontierChunk,
-               std::min(count, (c + 1) * kFrontierChunk));
-        return;
-    }
-    pool->parallelFor(chunks, [&](std::size_t c) {
-        fn(c, c * kFrontierChunk,
-           std::min(count, (c + 1) * kFrontierChunk));
-    });
-}
-
-namespace {
-
 /**
- * One top-down level: expand scratch.frontier into scratch.next via
- * per-chunk discovery buffers concatenated in chunk order.
+ * One top-down level: expand scratch.frontier into scratch.next.
  * @return sum of out-degrees of the next frontier (the bottom-up
- * switch signal; an integer sum, so reduction order is moot).
+ * switch signal).
  */
 uint64_t
 topDownStep(const Graph &graph, FrontierScratch &scratch,
-            uint32_t *hops, uint32_t next_level, ThreadPool *pool)
+            uint32_t *hops, uint32_t next_level)
 {
-    const std::size_t chunks =
-        (scratch.frontier.size() + kFrontierChunk - 1) / kFrontierChunk;
-    if (scratch.chunkOut.size() < chunks)
-        scratch.chunkOut.resize(chunks);
-
-    forEachChunk(scratch.frontier.size(), pool,
-                 [&](std::size_t c, std::size_t begin, std::size_t end) {
-                     auto &out = scratch.chunkOut[c];
-                     out.clear();
-                     for (std::size_t i = begin; i < end; ++i) {
-                         for (VertexId u :
-                              graph.neighbors(scratch.frontier[i])) {
-                             if (claimBit(scratch.visited, u)) {
-                                 if (hops != nullptr)
-                                     hops[u] = next_level;
-                                 out.push_back(u);
-                             }
-                         }
-                     }
-                 });
-
     scratch.next.clear();
     uint64_t next_edges = 0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-        for (VertexId u : scratch.chunkOut[c]) {
+    for (VertexId v : scratch.frontier) {
+        for (VertexId u : graph.neighbors(v)) {
+            if (!claimBit(scratch.visited, u))
+                continue;
+            if (hops != nullptr)
+                hops[u] = next_level;
             scratch.next.push_back(u);
             next_edges += graph.degree(u);
         }
@@ -155,54 +92,45 @@ materializeBits(const std::vector<uint64_t> &bits,
 /**
  * One bottom-up level: every unvisited vertex joins the next frontier
  * when any of its (symmetric) neighbors sits in the current one.
- * Chunks own whole bitmap words, so visited/nextBits updates need no
- * atomics. Leaves the next frontier in scratch.nextBits; when
- * @p materialize is set it is also flattened into scratch.next in
- * ascending vertex order (bitmap-frontier runs skip that store and
- * keep consecutive bottom-up levels entirely in bit form).
+ * Leaves the next frontier in scratch.nextBits; when @p materialize
+ * is set it is also flattened into scratch.next in ascending vertex
+ * order (bitmap-frontier runs skip that store and keep consecutive
+ * bottom-up levels entirely in bit form).
  */
 LevelStats
 bottomUpStep(const Graph &graph, FrontierScratch &scratch,
-             uint32_t *hops, uint32_t next_level, ThreadPool *pool,
-             bool materialize)
+             uint32_t *hops, uint32_t next_level, bool materialize)
 {
     const VertexId num_vertices = graph.numVertices();
     std::fill(scratch.nextBits.begin(), scratch.nextBits.end(), 0);
 
-    forEachChunk(
-        num_vertices, pool,
-        [&](std::size_t, std::size_t begin, std::size_t end) {
-            for (std::size_t w = begin / 64; w * 64 < end; ++w) {
-                uint64_t unvisited = ~scratch.visited[w];
-                if (w == scratch.visited.size() - 1 &&
-                    num_vertices % 64 != 0) {
-                    // Mask the tail bits beyond the vertex range.
-                    unvisited &=
-                        (uint64_t{1} << (num_vertices % 64)) - 1;
-                }
-                while (unvisited != 0) {
-                    const auto v = static_cast<VertexId>(
-                        w * 64 +
-                        static_cast<unsigned>(
-                            std::countr_zero(unvisited)));
-                    unvisited &= unvisited - 1;
-                    for (VertexId u : graph.neighbors(v)) {
-                        if (!testBit(scratch.curBits, u))
-                            continue;
-                        const uint64_t mask = uint64_t{1} << (v & 63);
-                        scratch.visited[w] |= mask;
-                        scratch.nextBits[w] |= mask;
-                        if (hops != nullptr)
-                            hops[v] = next_level;
-                        break;
-                    }
-                }
+    for (std::size_t w = 0; w < scratch.visited.size(); ++w) {
+        uint64_t unvisited = ~scratch.visited[w];
+        if (w == scratch.visited.size() - 1 && num_vertices % 64 != 0) {
+            // Mask the tail bits beyond the vertex range.
+            unvisited &= (uint64_t{1} << (num_vertices % 64)) - 1;
+        }
+        while (unvisited != 0) {
+            const auto v = static_cast<VertexId>(
+                w * 64 +
+                static_cast<unsigned>(std::countr_zero(unvisited)));
+            unvisited &= unvisited - 1;
+            for (VertexId u : graph.neighbors(v)) {
+                if (!testBit(scratch.curBits, u))
+                    continue;
+                const uint64_t mask = uint64_t{1} << (v & 63);
+                scratch.visited[w] |= mask;
+                scratch.nextBits[w] |= mask;
+                if (hops != nullptr)
+                    hops[v] = next_level;
+                break;
             }
-        });
+        }
+    }
 
-    // Walk the next-frontier bits in ascending vertex order
-    // (deterministic by construction) for the switch signals, and
-    // flatten them only when the caller still wants the array.
+    // Walk the next-frontier bits in ascending vertex order for the
+    // switch signals, and flatten them only when the caller still
+    // wants the array.
     LevelStats out;
     scratch.next.clear();
     for (std::size_t w = 0; w < scratch.nextBits.size(); ++w) {
@@ -224,6 +152,23 @@ bottomUpStep(const Graph &graph, FrontierScratch &scratch,
 }
 
 } // namespace
+
+void
+FrontierScratch::prepare(VertexId num_vertices)
+{
+    const std::size_t words = wordCount(num_vertices);
+    visited.resize(words);
+    curBits.resize(words);
+    nextBits.resize(words);
+    frontier.reserve(num_vertices);
+    next.reserve(num_vertices);
+}
+
+void
+FrontierScratch::clearVisited()
+{
+    std::fill(visited.begin(), visited.end(), 0);
+}
 
 BfsResult
 flatBfs(const Graph &graph, VertexId source, FrontierScratch &scratch,
@@ -251,8 +196,6 @@ flatBfs(const Graph &graph, VertexId source, FrontierScratch &scratch,
     uint32_t level = 0;
 
     while (frontier_size > 0) {
-        // Direction choice depends only on deterministic counts, so
-        // every thread count walks the identical level sequence.
         if (!bottom_up && options.allowBottomUp &&
             frontier_edges >
                 graph.numEdges() / options.bottomUpEdgeDivisor) {
@@ -262,12 +205,6 @@ flatBfs(const Graph &graph, VertexId source, FrontierScratch &scratch,
                        num_vertices / options.topDownSizeDivisor) {
             bottom_up = false;
         }
-
-        // Fan out only when the level carries real work; thresholds
-        // cannot affect results, only the schedule.
-        const std::size_t work =
-            bottom_up ? num_vertices : frontier_size + frontier_edges;
-        ThreadPool *pool = work >= kParallelGrain ? options.pool : nullptr;
 
         VertexId min_id = kInvalidVertex;
         if (bottom_up) {
@@ -281,7 +218,7 @@ flatBfs(const Graph &graph, VertexId source, FrontierScratch &scratch,
                     scratch.curBits[v >> 6] |= uint64_t{1} << (v & 63);
             }
             const LevelStats next = bottomUpStep(
-                graph, scratch, hops, level + 1, pool,
+                graph, scratch, hops, level + 1,
                 /*materialize=*/!options.bitmapFrontier);
             frontier_edges = next.edges;
             frontier_size = next.size;
@@ -299,7 +236,7 @@ flatBfs(const Graph &graph, VertexId source, FrontierScratch &scratch,
                 frontier_in_bits = false;
             }
             frontier_edges =
-                topDownStep(graph, scratch, hops, level + 1, pool);
+                topDownStep(graph, scratch, hops, level + 1);
             std::swap(scratch.frontier, scratch.next);
             frontier_size = scratch.frontier.size();
             if (frontier_size > 0)
@@ -329,7 +266,7 @@ planTraversal(uint64_t num_vertices, uint64_t num_edges,
     // Road-network-like graphs (near-uniform low degree, long
     // diameter): frontiers never get wide enough for a bottom-up
     // level to beat top-down, so rule it out before anyone pays the
-    // O(E log d) symmetry precheck it would require.
+    // O(V + E) symmetry precheck it would require.
     if (avg_degree < 2.0) {
         plan.useBottomUp = false;
         return plan;

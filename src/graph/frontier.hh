@@ -2,60 +2,33 @@
  * @file
  * Shared flat-frontier BFS machinery: swap-buffer frontiers over a
  * visited bitmap with an optional direction-optimizing (top-down /
- * bottom-up) switch and optional fan-out over a ThreadPool. Every
- * graph-measurement sweep (hop distances, diameter double sweeps,
- * component flood fills) runs on this substrate instead of growing
- * its own deque-based traversal.
+ * bottom-up) switch. Every graph-measurement sweep (hop distances,
+ * diameter double sweeps, component flood fills) runs on this
+ * substrate instead of growing its own deque-based traversal.
  *
- * Determinism contract: a traversal's observable outputs (hop levels,
- * farthest vertex, reached count) are byte-identical for any thread
- * count. Work is split into fixed-size chunks whose partial results
- * are combined in chunk-index order, so the schedule can vary but the
- * reduction order cannot; hop levels themselves are unique per vertex
- * in a level-synchronous BFS, and the "farthest" vertex is defined as
- * the minimum-id member of the deepest level — an order-free min.
+ * Traversals are serial and run on the calling thread, so their
+ * outputs are deterministic without further care. The outputs (hop
+ * levels, farthest vertex, reached count) are also independent of the
+ * direction schedule: hop levels are unique per vertex in a
+ * level-synchronous BFS, and the "farthest" vertex is the minimum-id
+ * member of the deepest level — an order-free min.
  */
 
 #ifndef HETEROMAP_GRAPH_FRONTIER_HH
 #define HETEROMAP_GRAPH_FRONTIER_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "graph/graph.hh"
 
 namespace heteromap {
 
-class ThreadPool;
-
-/**
- * Fixed chunk geometry for every parallel sweep. The chunk size is a
- * multiple of 64 so a bitmap word never straddles two chunks (letting
- * bottom-up steps touch their word range without atomics), and it is
- * a constant — never derived from the thread count — because the
- * chunk decomposition defines the deterministic reduction order.
- */
-inline constexpr std::size_t kFrontierChunk = 2048;
-
-/** Minimum per-level work (vertices or edges) worth fanning out. */
-inline constexpr std::size_t kParallelGrain = 16384;
-
 /** Default direction-switch thresholds (Beamer-style alpha/beta):
  *  go bottom-up when the frontier's out-edges exceed E / alpha, back
  *  top-down when the frontier shrinks below V / beta. */
 inline constexpr uint64_t kBottomUpEdgeDivisor = 14;
 inline constexpr uint64_t kTopDownSizeDivisor = 24;
-
-/**
- * Run fn(chunk_index, begin, end) over [0, count) in kFrontierChunk
- * slices — on @p pool when given, inline otherwise. The caller must
- * make chunks independent; combining any per-chunk partials in chunk
- * order is what keeps results thread-count-invariant.
- */
-void forEachChunk(std::size_t count, ThreadPool *pool,
-                  const std::function<void(std::size_t, std::size_t,
-                                           std::size_t)> &fn);
 
 /**
  * Reusable traversal buffers. prepare() sizes them for a vertex
@@ -71,8 +44,6 @@ struct FrontierScratch {
     std::vector<uint64_t> nextBits; //!< next frontier (bottom-up)
     std::vector<VertexId> frontier; //!< current frontier, flat array
     std::vector<VertexId> next;     //!< next frontier, flat array
-    /** Per-chunk discovery buffers for top-down steps. */
-    std::vector<std::vector<VertexId>> chunkOut;
 
     /** Size buffers for @p num_vertices (keeps existing capacity). */
     void prepare(VertexId num_vertices);
@@ -98,9 +69,6 @@ struct BfsOptions {
      * symmetry. Callers assert this (see hasSymmetricAdjacency).
      */
     bool allowBottomUp = false;
-
-    /** Fan traversal levels over this pool (nullptr = serial). */
-    ThreadPool *pool = nullptr;
 
     /**
      * Direction-switch thresholds. These (and bitmapFrontier) steer
@@ -130,7 +98,7 @@ struct BfsOptions {
 struct TraversalPlan {
     /** False when bottom-up can never pay (sparse, high-diameter
      *  graphs whose frontiers stay narrow) — which also lets callers
-     *  skip the O(E log d) symmetry precheck bottom-up requires. */
+     *  skip the O(V + E) symmetry precheck bottom-up requires. */
     bool useBottomUp = true;
     uint64_t bottomUpEdgeDivisor = kBottomUpEdgeDivisor;
     uint64_t topDownSizeDivisor = kTopDownSizeDivisor;

@@ -1,22 +1,19 @@
 /**
  * @file
- * Graph property measurement implementation. All sweeps share the
- * flat-frontier machinery (graph/frontier.hh) and the fixed-chunk
- * reduction discipline that makes results thread-count-invariant.
+ * Graph property measurement implementation. Every traversal runs on
+ * the flat-frontier machinery (graph/frontier.hh), serially, on the
+ * calling thread.
  */
 
 #include "graph/props.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <mutex>
 #include <sstream>
 
 #include "graph/frontier.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
-#include "util/thread_pool.hh"
 
 namespace heteromap {
 
@@ -45,50 +42,36 @@ bfsHops(const Graph &graph, VertexId source)
 }
 
 bool
-hasSymmetricAdjacency(const Graph &graph, ThreadPool *pool)
+hasSymmetricAdjacency(const Graph &graph)
 {
-    std::atomic<bool> asymmetric{false};
-    const auto num_vertices =
-        static_cast<std::size_t>(graph.numVertices());
-    forEachChunk(
-        num_vertices,
-        num_vertices >= kParallelGrain ? pool : nullptr,
-        [&](std::size_t, std::size_t begin, std::size_t end) {
-            if (asymmetric.load(std::memory_order_relaxed))
-                return;
-            for (std::size_t i = begin; i < end; ++i) {
-                const auto v = static_cast<VertexId>(i);
-                for (VertexId u : graph.neighbors(v)) {
-                    auto back = graph.neighbors(u);
-                    if (!std::binary_search(back.begin(), back.end(),
-                                            v)) {
-                        asymmetric.store(true,
-                                         std::memory_order_relaxed);
-                        return;
-                    }
-                }
-            }
-        });
-    return !asymmetric.load();
+    // Merge walk: cursor[u] only ever moves forward through N(u).
+    // Sources v arrive in ascending order, so on sorted lists the
+    // first entry of N(u) that is >= v is where v must sit. Repeated
+    // arcs leave the cursor on v, which keeps set semantics.
+    const VertexId num_vertices = graph.numVertices();
+    const EdgeId *const offsets = graph.offsets().data();
+    const VertexId *const neighbors = graph.rawNeighbors().data();
+    std::vector<EdgeId> cursor(graph.offsets().begin(),
+                               graph.offsets().end());
+    for (VertexId v = 0; v < num_vertices; ++v) {
+        for (EdgeId e = offsets[v]; e < offsets[v + 1]; ++e) {
+            const VertexId u = neighbors[e];
+            EdgeId &at = cursor[u];
+            const EdgeId stop = offsets[u + 1];
+            while (at < stop && neighbors[at] < v)
+                ++at;
+            if (at == stop || neighbors[at] != v)
+                return false;
+        }
+    }
+    return true;
 }
 
 namespace {
 
-/**
- * Serializes parallel sections that borrow the process-wide shared
- * pool: ThreadPool::parallelFor's completion barrier is pool-global,
- * so two concurrent measurements must not interleave on one pool.
- */
-std::mutex &
-sharedPoolMutex()
-{
-    static std::mutex mutex;
-    return mutex;
-}
-
 uint64_t
 diameterSweeps(const Graph &graph, unsigned sweeps, uint64_t seed,
-               ThreadPool *pool, const GraphStats *stats = nullptr)
+               const GraphStats *stats = nullptr)
 {
     if (graph.numVertices() < 2 || graph.numEdges() == 0)
         return 0;
@@ -102,14 +85,13 @@ diameterSweeps(const Graph &graph, unsigned sweeps, uint64_t seed,
         plan = planTraversal(stats->numVertices, stats->numEdges,
                              stats->avgDegree, stats->degreeStddev);
     BfsOptions options;
-    options.pool = pool;
     if (plan.useBottomUp) {
         // Bottom-up levels are only sound on symmetric adjacency;
-        // check once (an O(E log d) early-exit pass) and amortize it
-        // over the 2 * sweeps O(E) traversals it can accelerate. When
+        // check once (an O(V + E) early-exit merge walk) and amortize
+        // it over the 2 * sweeps traversals it can accelerate. When
         // the plan rules bottom-up out (sparse road-like graphs), the
         // whole check is skipped.
-        options.allowBottomUp = hasSymmetricAdjacency(graph, pool);
+        options.allowBottomUp = hasSymmetricAdjacency(graph);
         options.bottomUpEdgeDivisor = plan.bottomUpEdgeDivisor;
         options.topDownSizeDivisor = plan.topDownSizeDivisor;
         options.bitmapFrontier = plan.bitmapFrontier;
@@ -142,28 +124,28 @@ diameterSweeps(const Graph &graph, unsigned sweeps, uint64_t seed,
  *  inside L1 alongside the accumulator lanes. */
 constexpr std::size_t kDefaultStatsBlock = 256;
 
-/** Exact integer partials of one vertex range's degree scan. */
-struct DegreePartial {
+/** Exact integer results of the degree scan. */
+struct DegreeTotals {
     uint64_t sum = 0;
     uint64_t sumSq = 0;
     uint64_t max = 0;
 };
 
 /**
- * Scan degrees of [begin, end) straight off the CSR offsets array in
- * cache-sized blocks of four independent accumulator lanes. All
- * arithmetic is exact (uint64), so any blocking factor, lane count,
- * or combine order produces the identical partial.
+ * Scan the degrees of vertices [0, end) straight off the CSR offsets
+ * array in cache-sized blocks of four independent accumulator lanes.
+ * All arithmetic is exact (uint64), so any blocking factor or lane
+ * count produces the identical result.
  */
-DegreePartial
-scanDegrees(const EdgeId *__restrict offsets, std::size_t begin,
-            std::size_t end, std::size_t block)
+DegreeTotals
+scanDegrees(const EdgeId *__restrict offsets, std::size_t end,
+            std::size_t block)
 {
-    DegreePartial total;
+    DegreeTotals total;
     uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
     uint64_t q0 = 0, q1 = 0, q2 = 0, q3 = 0;
     uint64_t m0 = 0, m1 = 0, m2 = 0, m3 = 0;
-    for (std::size_t base = begin; base < end; base += block) {
+    for (std::size_t base = 0; base < end; base += block) {
         const std::size_t stop = std::min(end, base + block);
         std::size_t i = base;
         for (; i + 4 <= stop; i += 4) {
@@ -192,10 +174,10 @@ scanDegrees(const EdgeId *__restrict offsets, std::size_t begin,
 
 /**
  * Fused single pass over the CSR offsets: maximum degree plus the
- * exact integer degree moments (sum, sum of squares), reduced per
- * fixed chunk. Because every partial is an exact integer, the result
- * is byte-identical for any thread count AND any blocking factor —
- * the one floating-point step is the final variance expansion
+ * exact integer degree moments (sum, sum of squares). Because every
+ * partial is an exact integer, the result is byte-identical for any
+ * blocking factor — the one floating-point step is the final
+ * variance expansion
  *
  *   var = sum(d^2) - 2*avg*sum(d) + n*avg^2
  *
@@ -204,7 +186,7 @@ scanDegrees(const EdgeId *__restrict offsets, std::size_t begin,
  * n*d^2, 2*n*d^2, n*d^2 and cancel exactly.
  */
 void
-degreeSweep(const Graph &graph, GraphStats &stats, ThreadPool *pool,
+degreeSweep(const Graph &graph, GraphStats &stats,
             std::size_t stats_block)
 {
     const auto num_vertices =
@@ -213,25 +195,8 @@ degreeSweep(const Graph &graph, GraphStats &stats, ThreadPool *pool,
         return;
     const std::size_t block =
         stats_block == 0 ? kDefaultStatsBlock : stats_block;
-    const EdgeId *const offsets = graph.offsets().data();
-
-    const std::size_t chunks =
-        (num_vertices + kFrontierChunk - 1) / kFrontierChunk;
-    std::vector<DegreePartial> partials(chunks);
-
-    forEachChunk(num_vertices,
-                 num_vertices >= kParallelGrain ? pool : nullptr,
-                 [&](std::size_t c, std::size_t begin, std::size_t end) {
-                     partials[c] =
-                         scanDegrees(offsets, begin, end, block);
-                 });
-
-    DegreePartial total;
-    for (const DegreePartial &p : partials) {
-        total.sum += p.sum;
-        total.sumSq += p.sumSq;
-        total.max = std::max(total.max, p.max);
-    }
+    const DegreeTotals total =
+        scanDegrees(graph.offsets().data(), num_vertices, block);
     stats.maxDegree = std::max(stats.maxDegree, total.max);
     const double n = static_cast<double>(num_vertices);
     const double avg = stats.avgDegree;
@@ -241,40 +206,21 @@ degreeSweep(const Graph &graph, GraphStats &stats, ThreadPool *pool,
     stats.degreeStddev = std::sqrt(std::max(0.0, var) / n);
 }
 
+} // namespace
+
 GraphStats
-measureWith(const Graph &graph, const MeasureOptions &options,
-            ThreadPool *pool)
+measureGraph(const Graph &graph, const MeasureOptions &options)
 {
     GraphStats stats;
     stats.numVertices = graph.numVertices();
     stats.numEdges = graph.numEdges();
     stats.avgDegree = graph.avgDegree();
     stats.footprintBytes = graph.footprintBytes();
-    degreeSweep(graph, stats, pool, options.statsBlock);
+    degreeSweep(graph, stats, options.statsBlock);
     if (options.sweeps > 0)
         stats.diameter = diameterSweeps(graph, options.sweeps,
-                                        options.seed, pool, &stats);
+                                        options.seed, &stats);
     return stats;
-}
-
-} // namespace
-
-GraphStats
-measureGraph(const Graph &graph, const MeasureOptions &options)
-{
-    // threads only picks the schedule; measureWith's output is
-    // byte-identical for every resolution below.
-    if (options.threads == 1)
-        return measureWith(graph, options, nullptr);
-    if (options.threads == 0) {
-        ThreadPool &shared = ThreadPool::shared();
-        if (shared.threadCount() <= 1)
-            return measureWith(graph, options, nullptr);
-        std::lock_guard<std::mutex> lock(sharedPoolMutex());
-        return measureWith(graph, options, &shared);
-    }
-    ThreadPool pool(options.threads);
-    return measureWith(graph, options, &pool);
 }
 
 GraphStats
@@ -289,11 +235,7 @@ measureGraph(const Graph &graph, unsigned sweeps, uint64_t seed)
 uint64_t
 approximateDiameter(const Graph &graph, unsigned sweeps, uint64_t seed)
 {
-    ThreadPool &shared = ThreadPool::shared();
-    if (shared.threadCount() <= 1)
-        return diameterSweeps(graph, sweeps, seed, nullptr);
-    std::lock_guard<std::mutex> lock(sharedPoolMutex());
-    return diameterSweeps(graph, sweeps, seed, &shared);
+    return diameterSweeps(graph, sweeps, seed);
 }
 
 uint64_t

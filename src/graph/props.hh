@@ -5,10 +5,11 @@
  * diameter) plus auxiliary statistics the performance model consumes
  * (degree variance for divergence, component structure).
  *
- * Measurement runs on the flat-frontier substrate (graph/frontier.hh)
- * and is deterministic by contract: GraphStats is byte-identical for
- * any MeasureOptions::threads value, because every sweep reduces
- * fixed-size chunk partials in chunk-index order.
+ * Measurement runs on the flat-frontier substrate (graph/frontier.hh),
+ * serially on the calling thread. It takes no lock and borrows no
+ * pool, so concurrent callers measure in parallel. GraphStats is a
+ * pure function of the graph and MeasureOptions: there is no schedule
+ * that could reorder a reduction.
  */
 
 #ifndef HETEROMAP_GRAPH_PROPS_HH
@@ -21,8 +22,6 @@
 #include "graph/graph.hh"
 
 namespace heteromap {
-
-class ThreadPool;
 
 /**
  * Summary of an input graph. When describing one of the paper's real
@@ -50,14 +49,6 @@ struct MeasureOptions {
 
     /** Seed for the probe start vertices. */
     uint64_t seed = 1;
-
-    /**
-     * Sweep fan-out: 0 uses the process-wide shared pool
-     * (ThreadPool::shared()), 1 runs serial inline, N spins up a
-     * private N-thread pool. The result is byte-identical for every
-     * value — threads only change wall-clock time.
-     */
-    std::size_t threads = 0;
 
     /**
      * Cache-blocking factor (vertices per inner block) for the
@@ -100,13 +91,13 @@ uint64_t countComponents(const Graph &graph);
 /**
  * @return true when the adjacency is symmetric (u in N(v) iff v in
  * N(u)), the precondition for bottom-up BFS levels. One early-exit
- * O(E log d) pass, fanned over @p pool when given. Assumes sorted
- * adjacency lists (the GraphBuilder invariant); an unsorted list can
- * only yield a false negative, which merely disables the bottom-up
- * fast path, never wrong traversal results.
+ * O(V + E) merge walk: a forward-only cursor per vertex, one random
+ * access per arc. Exact on sorted adjacency lists (the Graph
+ * invariant). It answers true only after finding every reverse arc,
+ * so an unsorted list can only yield a false negative, which merely
+ * disables the bottom-up fast path, never wrong traversal results.
  */
-bool hasSymmetricAdjacency(const Graph &graph,
-                           ThreadPool *pool = nullptr);
+bool hasSymmetricAdjacency(const Graph &graph);
 
 } // namespace heteromap
 

@@ -39,9 +39,8 @@ StatsKey
 GraphStatsCache::makeKey(const Graph &graph,
                          const MeasureOptions &options)
 {
-    // threads and statsBlock are deliberately NOT part of the key:
-    // the determinism contract makes every thread count and blocking
-    // factor produce identical stats.
+    // statsBlock is deliberately NOT part of the key: every blocking
+    // factor produces identical stats.
     return {fingerprintGraph(graph), options.sweeps, options.seed};
 }
 

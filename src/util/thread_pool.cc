@@ -18,15 +18,6 @@ ThreadPool::defaultThreadCount()
     return hw == 0 ? 1 : hw;
 }
 
-ThreadPool &
-ThreadPool::shared()
-{
-    // Function-local static: constructed on first use, joined at
-    // process exit after main()'s pools are gone.
-    static ThreadPool pool(defaultThreadCount());
-    return pool;
-}
-
 ThreadPool::ThreadPool(std::size_t threads)
 {
     if (threads == 0)

@@ -69,18 +69,6 @@ class ThreadPool
     /** max(1, hardware concurrency) — the threads == 0 resolution. */
     static std::size_t defaultThreadCount();
 
-    /**
-     * Process-wide shared pool (defaultThreadCount() workers),
-     * created on first use. Intended for short, coarse parallel
-     * sections on hot paths — e.g. online graph measurement — where
-     * spinning up a private pool per call would dominate the work.
-     * parallelFor()'s completion barrier is pool-global, so callers
-     * that use it on the shared pool must serialize their sections
-     * against each other (graph measurement does, see
-     * sharedPoolMutex in graph/props.cc).
-     */
-    static ThreadPool &shared();
-
   private:
     /** One worker's state: its deque and the lock guarding it. */
     struct Worker {

@@ -1,20 +1,28 @@
 /**
  * @file
- * Unit tests for the parallel graph-measurement substrate: flat
- * frontiers, direction-optimized BFS, the thread-count determinism
- * contract of measureGraph, the exact content fingerprint, and the
- * fingerprint-keyed GraphStats and workload-profile memo caches.
+ * Unit tests for the graph-measurement substrate: golden GraphStats,
+ * the merge-walk symmetry check, flat frontiers, direction-optimized
+ * BFS, the exact content fingerprint, and the fingerprint-keyed
+ * GraphStats and workload-profile memo caches.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <iterator>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/builder.hh"
+#include "graph/datasets.hh"
 #include "graph/frontier.hh"
 #include "graph/generators.hh"
 #include "graph/props.hh"
 #include "graph/stats_cache.hh"
+#include "util/rng.hh"
 #include "util/thread_pool.hh"
 #include "workloads/betweenness.hh"
 #include "workloads/bfs.hh"
@@ -68,45 +76,139 @@ directedChain(VertexId n)
 }
 
 // ---------------------------------------------------------------
-// Determinism: byte-identical GraphStats for any thread count.
+// Golden stats: every GraphStats field, bit for bit, as recorded
+// before graph measurement became serial. Any change to the degree
+// sweep, the symmetry check or the traversal schedule that moves a
+// single bit of any field fails here.
 // ---------------------------------------------------------------
 
-class PropsMeasureDeterminism
-    : public ::testing::TestWithParam<std::size_t>
+/** The golden fixtures: the nine Table I proxies, the serving-size
+ *  families at 1k/4k/16k vertices, and the degenerate inputs. */
+std::vector<std::pair<std::string, Graph>>
+goldenGraphs()
 {
-};
-
-TEST_P(PropsMeasureDeterminism, UniformKroneckerAndDisconnected)
-{
-    // Sized so the degree sweep and mid-BFS levels clear the
-    // kParallelGrain threshold and genuinely fan out.
-    const Graph graphs[] = {
-        generateUniformRandom(20000, 120000, 7),
-        generateRmat(15, 8.0, 9),
-        disconnectedGraph(),
-        directedChain(600),
-    };
-    for (const Graph &g : graphs) {
-        MeasureOptions serial;
-        serial.threads = 1;
-        MeasureOptions fanned;
-        fanned.threads = GetParam();
-        EXPECT_TRUE(statsBitEqual(measureGraph(g, serial),
-                                  measureGraph(g, fanned)));
+    std::vector<std::pair<std::string, Graph>> out;
+    for (const Dataset &d : evaluationDatasets())
+        out.emplace_back("proxy-" + d.shortName(), Graph(d.proxy()));
+    for (VertexId n : {VertexId{1024}, VertexId{4096}, VertexId{16384}}) {
+        const std::string size = std::to_string(n);
+        out.emplace_back("mesh-" + size, generateMesh(n, 8, n + 1));
+        out.emplace_back("pa-" + size,
+                         generatePreferentialAttachment(n, 4, n + 2));
+        const auto width =
+            static_cast<VertexId>(std::lround(std::sqrt(n)));
+        out.emplace_back("road-" + size,
+                         generateRoadGrid(width, n / width, n + 3));
+        const auto scale =
+            static_cast<unsigned>(std::lround(std::log2(n)));
+        out.emplace_back("rmat-" + size,
+                         generateRmat(scale, 8.0, n + 4));
     }
+    out.emplace_back("directed-chain", directedChain(600));
+    out.emplace_back("disconnected", disconnectedGraph());
+    out.emplace_back("empty", Graph{});
+    return out;
 }
 
-INSTANTIATE_TEST_SUITE_P(ThreadCounts, PropsMeasureDeterminism,
-                         ::testing::Values(1, 2, 8));
+/** One golden row; the doubles are held as their bit patterns. */
+struct GoldenStats {
+    const char *name;
+    uint64_t numVertices;
+    uint64_t numEdges;
+    uint64_t maxDegree;
+    uint64_t avgDegreeBits;
+    uint64_t diameter;
+    uint64_t degreeStddevBits;
+    uint64_t footprintBytes;
+    bool symmetric;     //!< hasSymmetricAdjacency
+    bool allowBottomUp; //!< the diameter sweeps' bottom-up decision
+};
 
-TEST(PropsMeasureDeterminism, SharedPoolMatchesSerial)
+uint64_t
+doubleBits(double x)
 {
-    Graph g = generateRmat(11, 10.0, 3);
-    MeasureOptions serial;
-    serial.threads = 1;
-    MeasureOptions shared; // threads = 0: shared pool
-    EXPECT_TRUE(statsBitEqual(measureGraph(g, serial),
-                              measureGraph(g, shared)));
+    uint64_t bits;
+    std::memcpy(&bits, &x, sizeof bits);
+    return bits;
+}
+
+TEST(PropsGoldenTest, StatsAreBitIdentical)
+{
+    // measureGraph(g) defaults: sweeps = 4, seed = 1.
+    const GoldenStats golden[] = {
+        {"proxy-CA", 12288u, 49184u, 6u, 0x401002aaaaaaaaabu, 222u,
+         0x3fd1964b324f2538u, 491784u, true, true},
+        {"proxy-FB", 8192u, 181928u, 2064u, 0x4036354000000000u, 6u,
+         0x40519baf2739b0dau, 1520968u, true, true},
+        {"proxy-LJ", 16384u, 473192u, 3832u, 0x403ce1a000000000u, 7u,
+         0x4059ac93ae5d7446u, 3916616u, true, true},
+        {"proxy-Twtr", 16384u, 579166u, 4388u, 0x4041acbc00000000u, 5u,
+         0x4060bdce46976dc6u, 4764408u, true, true},
+        {"proxy-Frnd", 20000u, 557584u, 1085u, 0x403be113404ea4a9u, 4u,
+         0x40418a317caa9fa8u, 4620680u, true, true},
+        {"proxy-CO", 562u, 282988u, 527u, 0x407f78990daa5cedu, 2u,
+         0x401b8161eccf1ffeu, 2268408u, true, true},
+        {"proxy-CAGE", 16384u, 294878u, 23u, 0x4031ff7800000000u, 6u,
+         0x3feff077b6fb8f45u, 2490104u, true, true},
+        {"proxy-Rgg", 40000u, 318906u, 21u, 0x401fe3fe5c91d14eu, 236u,
+         0x4006ad39099883cdu, 2871256u, true, true},
+        {"proxy-Kron", 16384u, 426446u, 3661u, 0x403a073800000000u, 6u,
+         0x405796fdba044c94u, 3542648u, true, true},
+        {"mesh-1024", 1024u, 8176u, 12u, 0x401ff00000000000u, 6u,
+         0x3ff013742c658554u, 73608u, true, true},
+        {"pa-1024", 1024u, 8034u, 160u, 0x401f620000000000u, 5u,
+         0x40230923ab9ab436u, 72472u, true, true},
+        {"road-1024", 1024u, 4004u, 5u, 0x400f480000000000u, 62u,
+         0x3fd91e54010b36b7u, 40232u, true, true},
+        {"rmat-1024", 1024u, 12188u, 351u, 0x4027ce0000000000u, 5u,
+         0x4039f59e3735f853u, 105704u, true, true},
+        {"mesh-4096", 4096u, 32752u, 13u, 0x401ffc0000000000u, 7u,
+         0x3fef97449cd9198eu, 294792u, true, true},
+        {"pa-4096", 4096u, 32554u, 253u, 0x401fca8000000000u, 6u,
+         0x4024c4d5850de69du, 293208u, true, true},
+        {"road-4096", 4096u, 16290u, 6u, 0x400fd10000000000u, 126u,
+         0x3fd47d74ea580550u, 163096u, true, true},
+        {"rmat-4096", 4096u, 53702u, 913u, 0x402a38c000000000u, 7u,
+         0x4043358b41bcd347u, 462392u, true, true},
+        {"mesh-16384", 16384u, 131056u, 14u, 0x401fff0000000000u, 8u,
+         0x3ff002bf43a05c1bu, 1179528u, true, true},
+        {"pa-16384", 16384u, 130858u, 612u, 0x401ff2a000000000u, 6u,
+         0x402758d9abfe2dbeu, 1177944u, true, true},
+        {"road-16384", 16384u, 65676u, 6u, 0x401008c000000000u, 254u,
+         0x3fd1144a02a711c8u, 656488u, true, true},
+        {"rmat-16384", 16384u, 228658u, 2449u, 0x402be99000000000u, 8u,
+         0x404b9f439eaa961cu, 1960344u, true, true},
+        {"directed-chain", 600u, 599u, 1u, 0x3feff258bf258bf2u, 0u,
+         0x3fa4e287eddcbfe8u, 9600u, false, false},
+        {"disconnected", 64u, 36u, 2u, 0x3fe2000000000000u, 9u,
+         0x3feba3fb14672d7cu, 808u, true, false},
+        {"empty", 0u, 0u, 0u, 0x0000000000000000u, 0u,
+         0x0000000000000000u, 0u, true, false},
+    };
+    const auto graphs = goldenGraphs();
+    ASSERT_EQ(graphs.size(), std::size(golden));
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+        const auto &[name, g] = graphs[i];
+        const GoldenStats &want = golden[i];
+        ASSERT_EQ(name, want.name);
+        const GraphStats s = measureGraph(g);
+        EXPECT_EQ(s.numVertices, want.numVertices) << name;
+        EXPECT_EQ(s.numEdges, want.numEdges) << name;
+        EXPECT_EQ(s.maxDegree, want.maxDegree) << name;
+        EXPECT_EQ(doubleBits(s.avgDegree), want.avgDegreeBits) << name;
+        EXPECT_EQ(s.diameter, want.diameter) << name;
+        EXPECT_EQ(doubleBits(s.degreeStddev), want.degreeStddevBits)
+            << name;
+        EXPECT_EQ(s.footprintBytes, want.footprintBytes) << name;
+
+        const bool symmetric = hasSymmetricAdjacency(g);
+        const TraversalPlan plan =
+            planTraversal(s.numVertices, s.numEdges, s.avgDegree,
+                          s.degreeStddev);
+        EXPECT_EQ(symmetric, want.symmetric) << name;
+        EXPECT_EQ(plan.useBottomUp && symmetric, want.allowBottomUp)
+            << name;
+    }
 }
 
 TEST(PropsMeasureDeterminism, MatchesLegacyOverload)
@@ -129,7 +231,6 @@ TEST(PropsFlatBfs, BottomUpHopsMatchTopDown)
         generateDenseEr(500, 0.3, 11),
         generateRmat(10, 16.0, 13),
     };
-    ThreadPool pool(2);
     for (const Graph &g : graphs) {
         ASSERT_TRUE(hasSymmetricAdjacency(g));
         for (VertexId source : {VertexId{0}, g.numVertices() / 2}) {
@@ -141,7 +242,6 @@ TEST(PropsFlatBfs, BottomUpHopsMatchTopDown)
             scratch.clearVisited();
             BfsOptions options;
             options.allowBottomUp = true;
-            options.pool = &pool;
             flatBfs(g, source, scratch, hops.data(), options);
             EXPECT_EQ(hops, expected);
         }
@@ -210,11 +310,140 @@ TEST(PropsSymmetry, DetectsSymmetricAndDirectedAdjacency)
     EXPECT_TRUE(hasSymmetricAdjacency(disconnectedGraph()));
     EXPECT_FALSE(hasSymmetricAdjacency(directedChain(8)));
     EXPECT_TRUE(hasSymmetricAdjacency(Graph{}));
+    EXPECT_TRUE(hasSymmetricAdjacency(generateRmat(12, 8.0, 21)));
+}
 
-    ThreadPool pool(2);
-    Graph big = generateRmat(12, 8.0, 21);
-    EXPECT_EQ(hasSymmetricAdjacency(big, &pool),
-              hasSymmetricAdjacency(big));
+/** CSR from per-vertex lists, kept in the given order. */
+Graph
+graphFromLists(const std::vector<std::vector<VertexId>> &lists)
+{
+    std::vector<EdgeId> offsets{0};
+    std::vector<VertexId> neighbors;
+    for (const auto &list : lists) {
+        neighbors.insert(neighbors.end(), list.begin(), list.end());
+        offsets.push_back(neighbors.size());
+    }
+    return Graph(std::move(offsets), std::move(neighbors));
+}
+
+/** The check's specification on sorted lists: a binary search for
+ *  every reverse arc. */
+bool
+binarySearchSymmetric(const Graph &g)
+{
+    for (VertexId v = 0; v < g.numVertices(); ++v)
+        for (VertexId u : g.neighbors(v)) {
+            auto back = g.neighbors(u);
+            if (!std::binary_search(back.begin(), back.end(), v))
+                return false;
+        }
+    return true;
+}
+
+/** Order-free reference for unsorted lists: a linear search. */
+bool
+linearSearchSymmetric(const Graph &g)
+{
+    for (VertexId v = 0; v < g.numVertices(); ++v)
+        for (VertexId u : g.neighbors(v)) {
+            auto back = g.neighbors(u);
+            if (std::find(back.begin(), back.end(), v) == back.end())
+                return false;
+        }
+    return true;
+}
+
+/**
+ * Seeded adjacency lists in one of four shapes: symmetric, directed,
+ * symmetric with one arc dropped, symmetric with one arc duplicated.
+ * All shapes draw self-loops and leave some vertices isolated.
+ */
+std::vector<std::vector<VertexId>>
+seededLists(uint64_t seed, unsigned shape)
+{
+    Rng rng(seed);
+    const auto n = static_cast<VertexId>(2 + rng.nextBounded(40));
+    const auto edges = rng.nextBounded(3 * n);
+    std::vector<std::vector<VertexId>> lists(n);
+    // The top quarter of the ids never gets an arc: isolated vertices.
+    const VertexId active = std::max<VertexId>(1, n - n / 4);
+    for (uint64_t e = 0; e < edges; ++e) {
+        const auto a = static_cast<VertexId>(rng.nextBounded(active));
+        const auto b = rng.nextBool(0.1)
+                           ? a
+                           : static_cast<VertexId>(
+                                 rng.nextBounded(active));
+        lists[a].push_back(b);
+        if (shape != 1)
+            lists[b].push_back(a);
+    }
+    for (auto &list : lists) {
+        std::sort(list.begin(), list.end());
+        list.erase(std::unique(list.begin(), list.end()), list.end());
+    }
+    std::vector<VertexId> owners;
+    for (VertexId v = 0; v < n; ++v)
+        if (!lists[v].empty())
+            owners.push_back(v);
+    if (owners.empty() || shape < 2)
+        return lists;
+    auto &list = lists[owners[rng.nextBounded(owners.size())]];
+    const auto at = static_cast<std::ptrdiff_t>(
+        rng.nextBounded(list.size()));
+    if (shape == 2)
+        list.erase(list.begin() + at);
+    else
+        list.insert(list.begin() + at, list[at]);
+    return lists;
+}
+
+TEST(PropsSymmetry, MergeWalkMatchesBinarySearchReference)
+{
+    std::size_t symmetric = 0;
+    std::size_t asymmetric = 0;
+    for (uint64_t seed = 1; seed <= 60; ++seed) {
+        for (unsigned shape = 0; shape < 4; ++shape) {
+            const Graph g = graphFromLists(seededLists(seed, shape));
+            const bool expected = binarySearchSymmetric(g);
+            EXPECT_EQ(hasSymmetricAdjacency(g), expected)
+                << "seed " << seed << " shape " << shape;
+            ++(expected ? symmetric : asymmetric);
+        }
+    }
+    // Both answers must be well represented for the match to mean
+    // anything.
+    EXPECT_GE(symmetric, 60u);
+    EXPECT_GE(asymmetric, 60u);
+}
+
+TEST(PropsSymmetry, UnsortedAsymmetricListsAreNeverSymmetric)
+{
+    // 0 lists 2 before 1; 2 never lists 0 back.
+    EXPECT_FALSE(hasSymmetricAdjacency(graphFromLists({{2, 1}, {0}, {}})));
+    // Every reverse arc of 0 exists, but 1 lists 2, which does not
+    // list 1.
+    EXPECT_FALSE(
+        hasSymmetricAdjacency(graphFromLists({{2, 1}, {2, 0}, {0}})));
+
+    // Shuffled lists may hide a symmetric graph (a false negative,
+    // which only disables bottom-up), never invent one.
+    std::size_t asymmetric = 0;
+    for (uint64_t seed = 1; seed <= 60; ++seed) {
+        for (unsigned shape = 0; shape < 4; ++shape) {
+            auto lists = seededLists(seed, shape);
+            Rng rng(seed * 31 + shape);
+            for (auto &list : lists)
+                for (std::size_t i = list.size(); i > 1; --i)
+                    std::swap(list[i - 1], list[rng.nextBounded(i)]);
+            const Graph g = graphFromLists(lists);
+            if (linearSearchSymmetric(g))
+                continue;
+            ++asymmetric;
+            EXPECT_FALSE(hasSymmetricAdjacency(g))
+                << "seed " << seed << " shape " << shape;
+        }
+    }
+    EXPECT_GE(asymmetric, 60u);
 }
 
 TEST(PropsRegression, ComponentAndDiameterSemanticsUnchanged)
@@ -229,8 +458,8 @@ TEST(PropsRegression, ComponentAndDiameterSemanticsUnchanged)
 }
 
 // ---------------------------------------------------------------
-// Blocked stats sweep: byte-identical for any thread count AND any
-// blocking factor (exact integer partials, one FP finalization).
+// Blocked stats sweep: byte-identical for any blocking factor (exact
+// integer partials, one FP finalization).
 // ---------------------------------------------------------------
 
 TEST(PropsBlockedSweep, BlockingFactorNeverChangesStats)
@@ -241,21 +470,15 @@ TEST(PropsBlockedSweep, BlockingFactorNeverChangesStats)
         disconnectedGraph(),
         directedChain(600),
     };
-    const std::size_t thread_counts[] = {1, 2, 8};
-    const std::size_t blocks[] = {0, 1, 7, 64, 1000000};
+    const std::size_t blocks[] = {1, 7, 64, 1000000};
     for (const Graph &g : graphs) {
-        MeasureOptions reference;
-        reference.threads = 1;
-        const GraphStats expected = measureGraph(g, reference);
-        for (std::size_t threads : thread_counts) {
-            for (std::size_t block : blocks) {
-                MeasureOptions options;
-                options.threads = threads;
-                options.statsBlock = block;
-                EXPECT_TRUE(statsBitEqual(measureGraph(g, options),
-                                          expected))
-                    << "threads=" << threads << " block=" << block;
-            }
+        const GraphStats expected = measureGraph(g);
+        for (std::size_t block : blocks) {
+            MeasureOptions options;
+            options.statsBlock = block;
+            EXPECT_TRUE(statsBitEqual(measureGraph(g, options),
+                                      expected))
+                << "block=" << block;
         }
     }
 }
@@ -307,7 +530,6 @@ TEST(PropsTraversalPlan, PlanDrivenBfsMatchesFixedThresholds)
         generateDenseEr(500, 0.3, 11),
         generatePath(4000),          // plan disables bottom-up
     };
-    ThreadPool pool(2);
     for (const Graph &g : graphs) {
         const GraphStats stats = measureGraph(g, 0, 1);
         const TraversalPlan plan =
@@ -322,7 +544,6 @@ TEST(PropsTraversalPlan, PlanDrivenBfsMatchesFixedThresholds)
         planned.bottomUpEdgeDivisor = plan.bottomUpEdgeDivisor;
         planned.topDownSizeDivisor = plan.topDownSizeDivisor;
         planned.bitmapFrontier = plan.bitmapFrontier;
-        planned.pool = &pool;
 
         for (VertexId source : {VertexId{0}, g.numVertices() / 2}) {
             std::vector<uint32_t> expected_hops(g.numVertices(),
@@ -588,9 +809,7 @@ TEST(PropsStatsCache, ConcurrentMissesConverge)
     std::vector<GraphStats> results(8);
     ThreadPool pool(4);
     pool.parallelFor(8, [&](std::size_t i) {
-        MeasureOptions serial_inner;
-        serial_inner.threads = 1; // no nested pools inside workers
-        results[i] = cache.measure(g, serial_inner);
+        results[i] = cache.measure(g);
     });
     for (const GraphStats &stats : results)
         EXPECT_TRUE(statsBitEqual(stats, expected));

@@ -2,8 +2,8 @@
 # Performance snapshot of the measure+infer hot path: runs the
 # predictor-overhead microbenchmarks (scalar vs batched inference,
 # flat vs pointer decision tree), the graph-measurement substrate
-# bench (blocked stats sweep, compressed CSR, stats-cache
-# amortization), the serving load bench, and the network serving
+# bench (per-proxy measurement stages, stats-cache amortization,
+# blocked stats sweep), the serving load bench, and the network serving
 # soak (on-wire latency percentiles over loopback, p99.9 included),
 # then assembles one machine-readable BENCH_10.json of medians with
 # python3 stdlib only.
@@ -126,15 +126,18 @@ derived = {
 with open(f"{build_dir}/bench_snapshot_graph.txt") as fh:
     graph_lines = fh.read().splitlines()
 
-graph = {"measure": [], "stats_sweep": [], "compressed_csr": []}
-section = "measure"
+graph = {"measure": [], "cache": [], "stats_sweep": []}
+section = None
 headers = None
 for line in graph_lines:
+    if line.startswith("serial measurement per"):
+        section, headers = "measure", None
+        continue
+    if line.startswith("cold vs cached"):
+        section, headers = "cache", None
+        continue
     if line.startswith("degree/stats sweep"):
         section, headers = "stats_sweep", None
-        continue
-    if line.startswith("delta-encoded compressed"):
-        section, headers = "compressed_csr", None
         continue
     if line.startswith("online predict overhead"):
         section = None

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Race-check the parallel subsystems under ThreadSanitizer: the
 # offline training sweep (util/thread_pool fan-out), the graph
-# measurement substrate (flat-frontier BFS + stats cache), the
-# telemetry layer (lock-free metrics + trace ring buffers), and the
-# serving subsystem (MPMC queue, batching workers, RCU model
-# hot-swap) together with its fault-tolerance layer (chaos
+# measurement caches (stats and profile memos under concurrent
+# misses), the telemetry layer (lock-free metrics + trace ring
+# buffers), and the serving subsystem (MPMC queue, batching workers,
+# RCU model hot-swap) together with its fault-tolerance layer (chaos
 # injection, watchdog restarts, retrying client, and the fixed-seed
 # chaos soak), the forensics layer (per-thread flight-recorder
 # rings, drift monitor, SLO tracker), the batched-inference
